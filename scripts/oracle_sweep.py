@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Sweep a degree window and compare the closed-form engine against the
-bounded brute-force recount, instance by instance."""
+bounded brute-force recount, instance by instance.  The recount's scan
+bounds come from the degree equation (``oracle_bounds``), not from the
+engine it checks."""
 
 import argparse
 import sys
 import time
 
 from mfhh.diagpoly import DiagonalPolynomial
-from mfhh.hhengine import HochschildEngine
+from mfhh.hhengine import HochschildEngine, oracle_bounds
 
 
 def main():
@@ -17,7 +19,6 @@ def main():
     parser.add_argument("--unstabilized", action="store_true")
     parser.add_argument("--k-min", type=int, default=-10)
     parser.add_argument("--k-max", type=int, default=10)
-    parser.add_argument("--u-bound", type=int, default=20)
     args = parser.parse_args()
 
     instances = [tuple(int(k) for k in text.split(","))
@@ -28,7 +29,8 @@ def main():
         engine = HochschildEngine(p)
         started = time.perf_counter()
         report = engine.table(args.k_min, args.k_max)
-        counts, oracle_max = engine.bruteforce_table(report.max_a0 + 10, args.u_bound)
+        bounds = oracle_bounds(exps, p.stabilized, args.k_min, args.k_max)
+        counts, oracle_max = engine.bruteforce_table(*bounds)
         elapsed = time.perf_counter() - started
         bad = [(row.degree, row.dim, counts.get(row.degree, 0))
                for row in report.dimensions if row.dim != counts.get(row.degree, 0)]

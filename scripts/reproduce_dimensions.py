@@ -34,13 +34,14 @@ def main():
         p = DiagonalPolynomial(exps, stabilized=True)
         engine = HochschildEngine(p)
         n = len(exps) - 1
-        hh0 = engine.dimension(0).dim
-        hhn = engine.dimension(n).dim
+        report = engine.table(0, n)
+        hh0 = report.dimension(0).dim
+        hhn = report.dimension(n).dim
         elapsed = time.perf_counter() - started
         k3 = min(k for k in exps if k != 2)
         mu = milnor_number(p)
         mark = "" if (hh0, hhn) == (k3 - 1, mu) else "   <-- MISMATCH"
-        print(f"{','.join(map(str, exps)):>22} {len(engine.kernel):>10}"
+        print(f"{','.join(map(str, exps)):>22} {report.kerchi_order:>10}"
               f" {hh0:>9} {k3 - 1:>5} {hhn:>9} {mu:>6} {elapsed:>8.2f}{mark}")
 
 

@@ -19,6 +19,7 @@ from mfhh.diagpoly import (
     transpose,
 )
 from mfhh.hhengine import (
+    BudgetExceededError,
     HHContribution,
     HHReport,
     HochschildEngine,
@@ -26,6 +27,7 @@ from mfhh.hhengine import (
     hh_bruteforce,
     hh_dimension,
     hh_range,
+    oracle_bounds,
     verify_proposition,
 )
 from mfhh.intlat import (
@@ -42,6 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroupStructure",
     "AmbiguousGradingError",
+    "BudgetExceededError",
     "CharacterLattice",
     "DiagonalPolynomial",
     "GroupElement",
@@ -63,6 +66,7 @@ __all__ = [
     "hh_range",
     "jacobi_basis",
     "milnor_number",
+    "oracle_bounds",
     "restrict",
     "smith_normal_form",
     "transpose",

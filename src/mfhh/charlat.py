@@ -21,6 +21,7 @@ Variables are indexed 1..N, with index 0 reserved for the stabilizer z_0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -273,6 +274,52 @@ class CharacterLattice:
             elements.append(GroupElement(phases, fixed, moving))
         self._kernel = tuple(elements)
         return self._kernel
+
+    def moving_set_counts(self) -> dict[frozenset[int], int]:
+        """Number of elements of ker(chi) with each moving set, in closed
+        form and without enumerating.
+
+        For a set P of polynomial variables, prod(k_i - 1, i in P) elements
+        move exactly P.  Unstabilized, that is the count for moving set P.
+        Stabilized, z_0 stays fixed iff sum(n_i / k_i, i in P) is an
+        integer; by inclusion-exclusion over the variables forced to zero,
+        that happens for
+
+            f(P) = sum_{S <= P} (-1)^{|P| - |S|} prod(k_S) / lcm(k_S)
+
+        of them (the tuples in prod Z/k_i, i in S, with integral phase sum
+        form the kernel of a map onto (1/lcm(k_S))Z/Z).  The rest move z_0
+        as well.  Moving sets that no element has are omitted; the counts
+        sum to prod(k_i).
+        """
+        exps = self.exponents
+        size = 1 << len(exps)
+        moving = [1] * size  # prod(k_i - 1) over the variables in the mask
+        fixed_z0 = [1] * size  # prod(k_i) / lcm(k_i), Moebius-inverted below
+        lcms = [1] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            rest = mask ^ low
+            k = exps[low.bit_length() - 1]
+            moving[mask] = moving[rest] * (k - 1)
+            lcms[mask] = math.lcm(lcms[rest], k)
+            fixed_z0[mask] = fixed_z0[rest] * k * lcms[rest] // lcms[mask]
+        if self.stabilized:
+            for bit in range(len(exps)):
+                for mask in range(size):
+                    if mask >> bit & 1:
+                        fixed_z0[mask] -= fixed_z0[mask ^ (1 << bit)]
+        counts = {}
+        for mask in range(size):
+            poly = frozenset(i + 1 for i in range(len(exps)) if mask >> i & 1)
+            if not self.stabilized:
+                counts[poly] = moving[mask]
+                continue
+            if fixed_z0[mask]:
+                counts[poly] = fixed_z0[mask]
+            if moving[mask] > fixed_z0[mask]:
+                counts[poly | {0}] = moving[mask] - fixed_z0[mask]
+        return counts
 
     # -- cross-checks ------------------------------------------------------
 

@@ -13,8 +13,14 @@ Subcommands:
 Reports contain only exact integers and reduced fraction strings; JSON
 output is canonical (fixed key order, no whitespace) so re-serializing a
 parsed report reproduces it byte for byte.  Exit codes: 1 for usage errors,
-4 when a computation aborts on Overflow or AmbiguousGrading (the error name
-goes to stderr).
+4 when a computation aborts on Overflow, AmbiguousGrading or Budget (the
+error name goes to stderr).  Budget is checked before anything is
+enumerated: every subcommand that builds the engine (all but ``milnor``)
+refuses instances with prod(k_i) = |ker chi| above 10^6, so nothing can run
+away with time or memory.
+
+``--parallel N`` is accepted and validated for compatibility; it has no
+effect, since the engine no longer starts worker processes.
 """
 
 from __future__ import annotations
@@ -26,7 +32,13 @@ from dataclasses import dataclass
 
 from mfhh.charlat import AmbiguousGradingError, GroupElement
 from mfhh.diagpoly import DiagonalPolynomial, milnor_number
-from mfhh.hhengine import HHReport, HochschildEngine, verify_proposition
+from mfhh.hhengine import (
+    BudgetExceededError,
+    HHReport,
+    HochschildEngine,
+    oracle_bounds,
+    verify_proposition,
+)
 from mfhh.intlat import IntegerOverflowError
 
 
@@ -49,7 +61,6 @@ class RunConfig:
     k_max: int
     fmt: str
     witnesses: bool
-    parallel: int
     a0_bound: int | None
     u_bound: int | None
 
@@ -79,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", default="table",
                        choices=["table", "json", "csv"])
         p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="fan the per-group-element work out over N processes")
+                       help="accepted for compatibility; has no effect")
         if k_range:
             p.add_argument("--k-min", type=int, default=None)
             p.add_argument("--k-max", type=int, default=None)
@@ -88,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="list every contribution behind each dimension")
         if bounds:
             p.add_argument("--a0-bound", type=int, default=None, metavar="B",
-                           help="stabilizer-power scan bound (default: engine max + 10)")
+                           help="stabilizer-power scan bound (default: a-priori bound"
+                                " from the degree equation)")
             p.add_argument("--u-bound", type=int, default=None, metavar="U",
-                           help="chi-multiple scan bound (default: wide enough for the range)")
+                           help="chi-multiple scan bound (default: a-priori bound for the range)")
 
     add_common(sub.add_parser("group", help="print the symmetry group data"))
     add_common(sub.add_parser("milnor", help="print the Milnor number"))
@@ -131,7 +143,6 @@ def _config_from_args(args) -> RunConfig:
         k_max=k_max,
         fmt=args.fmt,
         witnesses=getattr(args, "witnesses", False),
-        parallel=args.parallel,
         a0_bound=a0_bound,
         u_bound=u_bound,
     )
@@ -206,10 +217,10 @@ def _print_hh_table(report: HHReport, engine: HochschildEngine, out):
 
 def cmd_hh(cfg: RunConfig, out) -> int:
     engine = HochschildEngine(DiagonalPolynomial(cfg.exponents, cfg.stabilized))
-    report = engine.table(cfg.k_min, cfg.k_max, witnesses=cfg.witnesses,
-                          parallel=cfg.parallel)
+    report = engine.table(cfg.k_min, cfg.k_max, witnesses=cfg.witnesses)
     if cfg.fmt == "json":
-        print(canonical_json(_hh_payload(report, engine.kernel)), file=out)
+        kernel = engine.kernel if cfg.witnesses else None
+        print(canonical_json(_hh_payload(report, kernel)), file=out)
     elif cfg.fmt == "csv":
         print("k,dim", file=out)
         for row in report.dimensions:
@@ -298,14 +309,10 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 
 def cmd_oracle(cfg: RunConfig, out) -> int:
     engine = HochschildEngine(DiagonalPolynomial(cfg.exponents, cfg.stabilized))
-    closed = engine.table(cfg.k_min, cfg.k_max, parallel=cfg.parallel)
-    a0_bound = cfg.a0_bound
-    if a0_bound is None:
-        a0_bound = closed.max_a0 + 10
-    u_bound = cfg.u_bound
-    if u_bound is None:
-        span = max(abs(cfg.k_min), abs(cfg.k_max)) + len(engine.polynomial.variables) + 1
-        u_bound = max(20, span // 2 + 1)
+    closed = engine.table(cfg.k_min, cfg.k_max)
+    derived = oracle_bounds(cfg.exponents, cfg.stabilized, cfg.k_min, cfg.k_max)
+    a0_bound = derived[0] if cfg.a0_bound is None else cfg.a0_bound
+    u_bound = derived[1] if cfg.u_bound is None else cfg.u_bound
     oracle = engine.bruteforce_report(cfg.k_min, cfg.k_max, a0_bound, u_bound)
     mismatches = [
         (c.degree, c.dim, o.dim)
@@ -313,7 +320,7 @@ def cmd_oracle(cfg: RunConfig, out) -> int:
         if c.dim != o.dim
     ]
     if cfg.fmt == "json":
-        print(canonical_json(_hh_payload(oracle, engine.kernel)), file=out)
+        print(canonical_json(_hh_payload(oracle, None)), file=out)
     else:
         for line in _header_lines(cfg.exponents, cfg.stabilized):
             print(line, file=out)
@@ -357,6 +364,9 @@ def run(argv, out=None) -> int:
         return 4
     except AmbiguousGradingError as exc:
         print(f"AmbiguousGrading: {exc}", file=sys.stderr)
+        return 4
+    except BudgetExceededError as exc:
+        print(f"Budget: {exc}", file=sys.stderr)
         return 4
 
 

@@ -21,25 +21,58 @@ concentrated in degree zero (its cohomology is the Jacobi ring) except for
 the split z_0-line, which is what the odd summand accounts for; no deeper
 Koszul terms exist to sum over.
 
-The closed-form engine solves for a_0 exactly from the free coordinate of
-the weight lattice.  A deliberately dumb oracle (`bruteforce_table`) rescans
-a_0 and u over finite windows and must agree whenever its bounds dominate;
-the engine reports the largest accepted a_0 so callers can pick dominating
-bounds.
+A term depends on gamma only through its moving set M = N_gamma: the fixed
+variables, #moving, sum(chi_j, j in M) and whether z_0 is fixed are all
+functions of M.  So the engine sums over strata instead of elements,
+
+    dim HH^k = sum over moving sets M of  mult(M) * count_k(M),
+
+with at most 2^(N+1) strata and the multiplicities in closed form
+(``CharacterLattice.moving_set_counts``): prod(k_i - 1, i in M)
+unstabilized; stabilized, with P the moving polynomial variables,
+
+    f(P) = sum_{S <= P} (-1)^{|P| - |S|} prod(k_S) / lcm(k_S)
+
+elements keep z_0 fixed and prod(k_i - 1, i in P) - f(P) move it.  Plain
+dimension tables therefore never enumerate ker(chi); witnesses do, to name
+each gamma.
+
+Within a stratum the engine solves for a_0 exactly from the free coordinate
+of the weight lattice.  A deliberately dumb oracle (`bruteforce_table`)
+walks every element of ker(chi) and rescans a_0 and u over finite windows;
+it must agree whenever its bounds dominate, which the a-priori bounds of
+`oracle_bounds` do without consulting the engine.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from mfhh.charlat import CharacterLattice, GroupElement, Weight, build_character_lattice
+from mfhh.charlat import (
+    AmbiguousGradingError,
+    CharacterLattice,
+    GroupElement,
+    Weight,
+    build_character_lattice,
+)
 from mfhh.diagpoly import DiagonalPolynomial, JacobiBasisElement, jacobi_basis, milnor_number
 from mfhh.intlat import checked
 
 EVEN = "even"
 ODD = "odd"
+
+# Largest prod(k_i) the engine accepts.  That product is both |ker chi| and
+# the total size of the per-stratum Jacobi bases, so it bounds every
+# enumeration the engine or the CLI can start.
+ELEMENT_BUDGET = 10**6
+
+
+class BudgetExceededError(ValueError):
+    """The instance would enumerate more than ELEMENT_BUDGET elements."""
 
 
 @dataclass(frozen=True)
@@ -88,36 +121,82 @@ class HHReport:
 
 
 @dataclass(frozen=True)
-class _GammaData:
+class _Stratum:
+    """What a group element's contribution depends on, given its moving set."""
+
     moving_count: int
     z0_fixed: bool
     fixed_poly: frozenset[int]
     dual_weight: Weight  # -sum(chi_j) over the moving variables
 
 
+def oracle_bounds(exponents: Sequence[int], stabilized: bool,
+                  k_min: int, k_max: int) -> tuple[int, int]:
+    """Scan windows (a0_bound, u_bound) for `bruteforce_table` that contain
+    every contribution to a degree in [k_min, k_max], derived from the
+    degree equation alone, never from the engine being checked.
+
+    Send chi_i to q_i = 1/k_i and chi to 1, so chi_0 goes to
+    q_0 = 1 - sum(q_i).  A contribution to degree k has
+    u = (k - #moving - shift) / 2 with #moving <= N + 1 and shift <= 1, so
+    |u| <= U = (K + N + 2) // 2 with K = max(|k_min|, |k_max|).  In its
+    degree equation
+
+        a_0 q_0 = u - sum(a_i q_i, i fixed) + sum(q_j, j moving) + shift q_0
+
+    each polynomial variable contributes less than 1 in absolute value
+    (a_i <= k_i - 2 and q_j <= 1/2), hence a_0 <= (U + N) / |q_0| + 1.
+    """
+    n = len(exponents)
+    u_bound = (max(abs(k_min), abs(k_max)) + n + 2) // 2
+    if not stabilized:
+        return 0, u_bound
+    q0 = abs(1 - sum(Fraction(1, k) for k in exponents))
+    if q0 == 0:
+        raise AmbiguousGradingError(
+            f"stabilizer degree is torsion for exponents {tuple(exponents)}")
+    return math.floor((u_bound + n) / q0) + 1, u_bound
+
+
 class HochschildEngine:
-    """Shared setup (lattice, group enumeration, Jacobi bases) for computing
-    many degrees of one polynomial.  Immutable after construction."""
+    """Shared setup (lattice, strata, Jacobi bases) for computing many
+    degrees of one polynomial.  Immutable after construction, apart from
+    caches."""
 
     def __init__(self, polynomial: DiagonalPolynomial):
         self.polynomial = polynomial
+        self.kerchi_order = math.prod(polynomial.exponents)
+        if self.kerchi_order > ELEMENT_BUDGET:
+            raise BudgetExceededError(
+                f"|ker chi| = prod(k_i) = {self.kerchi_order} exceeds the element"
+                f" budget {ELEMENT_BUDGET}")
         self.lattice: CharacterLattice = build_character_lattice(
             polynomial.exponents, polynomial.stabilized)
-        self.kernel: tuple[GroupElement, ...] = self.lattice.enumerate_ker_chi()
-        lat = self.lattice
-        self._chi0 = lat.variable_weight(0) if polynomial.stabilized else None
-        self._gamma_data = []
-        for gamma in self.kernel:
-            dual = lat.zero_weight()
-            for j in gamma.moving:
-                dual = dual - lat.variable_weight(j)
-            self._gamma_data.append(_GammaData(
-                moving_count=len(gamma.moving),
-                z0_fixed=polynomial.stabilized and 0 in gamma.fixed,
-                fixed_poly=frozenset(i for i in gamma.fixed if i != 0),
-                dual_weight=dual,
-            ))
+        self._chi0 = self.lattice.variable_weight(0) if polynomial.stabilized else None
+        self._multiplicities = self.lattice.moving_set_counts()
+        self._strata: dict[frozenset[int], _Stratum] = {}
         self._basis_cache: dict[frozenset[int], tuple[JacobiBasisElement, ...]] = {}
+
+    @cached_property
+    def kernel(self) -> tuple[GroupElement, ...]:
+        """Every element of ker(chi); enumerated on first use only."""
+        return self.lattice.enumerate_ker_chi()
+
+    def _stratum(self, moving: frozenset[int]) -> _Stratum:
+        cached = self._strata.get(moving)
+        if cached is None:
+            lat = self.lattice
+            dual = lat.zero_weight()
+            for j in moving:
+                dual = dual - lat.variable_weight(j)
+            cached = _Stratum(
+                moving_count=len(moving),
+                z0_fixed=self.polynomial.stabilized and 0 not in moving,
+                fixed_poly=frozenset(range(1, self.polynomial.num_vars + 1)) - moving,
+                dual_weight=dual,
+            )
+            self._strata[moving] = cached
+        return cached
 
     def _basis(self, fixed_poly: frozenset[int]) -> tuple[JacobiBasisElement, ...]:
         cached = self._basis_cache.get(fixed_poly)
@@ -135,22 +214,22 @@ class HochschildEngine:
         vector = tuple(exps.get(v, 0) for v in self.polynomial.variables)
         return HHContribution(gi, summand, vector, u, k)
 
-    def _count_slice(self, start: int, stop: int, ks: Sequence[int],
-                     want_witnesses: bool):
-        """Contributions of kernel elements [start, stop) to each degree in
-        ``ks``.  Returns (counts, witnesses or None, max accepted a0), all
-        keyed by degree."""
+    def _count(self, ks: Sequence[int], want_witnesses: bool):
+        """Dimensions of the degrees in ``ks``: each stratum is tested once
+        and weighted by its multiplicity.  Returns (counts, witnesses or
+        None, max accepted a0), all keyed by degree."""
         lat = self.lattice
         chi = lat.chi
         counts = {k: 0 for k in ks}
-        wits = {k: [] for k in ks} if want_witnesses else None
         max_a0 = {k: 0 for k in ks}
-        for gi in range(start, stop):
-            info = self._gamma_data[gi]
+        accepted = {}  # moving set -> [(k, summand, elem, a0, u)]
+        for moving, mult in self._multiplicities.items():
+            info = self._stratum(moving)
             basis = self._basis(info.fixed_poly)
             partials = {EVEN: [elem.weight + info.dual_weight for elem in basis]}
             if info.z0_fixed:
                 partials[ODD] = [w - self._chi0 for w in partials[EVEN]]
+            found = accepted[moving] = []
             for k in ks:
                 for summand, shift in ((EVEN, 0), (ODD, 1)):
                     if shift and not info.z0_fixed:
@@ -171,74 +250,56 @@ class HochschildEngine:
                             if partial != target:
                                 continue
                             a0 = 0
-                        counts[k] += 1
+                        counts[k] += mult
                         if want_witnesses:
-                            wits[k].append(self._witness(gi, summand, elem, a0, u, k))
+                            found.append((k, summand, elem, a0, u))
+        wits = None
+        if want_witnesses:
+            wits = {k: [] for k in ks}
+            for gi, gamma in enumerate(self.kernel):
+                for k, summand, elem, a0, u in accepted[gamma.moving]:
+                    wits[k].append(self._witness(gi, summand, elem, a0, u, k))
+            for row in wits.values():
+                row.sort(key=HHContribution.sort_key)
         return counts, wits, max_a0
 
     def dimension(self, k: int, witnesses: bool = False) -> DegreeDimension:
-        counts, wits, max_a0 = self._count_slice(0, len(self.kernel), [k], witnesses)
-        witness_tuple = None
-        if witnesses:
-            witness_tuple = tuple(sorted(wits[k], key=HHContribution.sort_key))
-        return DegreeDimension(k, counts[k], witness_tuple, max_a0[k])
+        counts, wits, max_a0 = self._count([k], witnesses)
+        return DegreeDimension(k, counts[k], tuple(wits[k]) if witnesses else None, max_a0[k])
 
     def table(self, k_min: int, k_max: int, witnesses: bool = False,
               parallel: int = 1) -> HHReport:
+        """Dimensions over [k_min, k_max].  ``parallel`` is accepted for
+        compatibility and has no effect: no process is started."""
         if k_min > k_max:
             raise ValueError("empty degree range")
         ks = list(range(k_min, k_max + 1))
-        if parallel <= 1 or len(self.kernel) < 2:
-            counts, wits, max_a0 = self._count_slice(0, len(self.kernel), ks, witnesses)
-        else:
-            counts, wits, max_a0 = self._count_parallel(ks, witnesses, parallel)
-        rows = []
-        for k in ks:
-            witness_tuple = None
-            if witnesses:
-                witness_tuple = tuple(sorted(wits[k], key=HHContribution.sort_key))
-            rows.append(DegreeDimension(k, counts[k], witness_tuple, max_a0[k]))
+        counts, wits, max_a0 = self._count(ks, witnesses)
+        rows = tuple(DegreeDimension(k, counts[k], tuple(wits[k]) if witnesses else None,
+                                     max_a0[k])
+                     for k in ks)
         return HHReport(
             exponents=self.polynomial.exponents,
             stabilized=self.polynomial.stabilized,
-            kerchi_order=len(self.kernel),
+            kerchi_order=self.kerchi_order,
             milnor=milnor_number(self.polynomial),
             k_min=k_min,
             k_max=k_max,
-            dimensions=tuple(rows),
+            dimensions=rows,
             max_a0=max(max_a0.values(), default=0),
             engine="closed-form",
         )
 
-    def _count_parallel(self, ks: Sequence[int], witnesses: bool, parallel: int):
-        total = len(self.kernel)
-        parts = min(parallel, total)
-        bounds = [(total * i) // parts for i in range(parts + 1)]
-        jobs = [
-            (self.polynomial.exponents, self.polynomial.stabilized,
-             bounds[i], bounds[i + 1], list(ks), witnesses)
-            for i in range(parts)
-        ]
-        counts = {k: 0 for k in ks}
-        wits = {k: [] for k in ks} if witnesses else None
-        max_a0 = {k: 0 for k in ks}
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            for part_counts, part_wits, part_max in pool.map(_count_slice_job, jobs):
-                for k in ks:
-                    counts[k] += part_counts[k]
-                    if part_max[k] > max_a0[k]:
-                        max_a0[k] = part_max[k]
-                    if witnesses:
-                        wits[k].extend(part_wits[k])
-        return counts, wits, max_a0
-
     def bruteforce_table(self, a0_bound: int, u_bound: int):
         """Independent recount with scanned stabilizer powers and scanned
         chi-multiples: a_0 runs over [0, a0_bound], u over
-        [-u_bound, u_bound], and weight equalities are tested directly.
+        [-u_bound, u_bound], and weight equalities are tested directly, one
+        element of ker(chi) at a time (no multiplicities).
 
         Returns (counts by degree, max accepted a_0).  Degrees absent from
-        the dict have count 0 within the scanned windows.
+        the dict have count 0 within the scanned windows.  Raises
+        AmbiguousGradingError when chi_0 is torsion, since the count would
+        then grow with a0_bound.
         """
         if a0_bound < 0 or u_bound < 0:
             raise ValueError("scan bounds must be nonnegative")
@@ -251,9 +312,13 @@ class HochschildEngine:
             u_by_key[(w.free, *w.torsion)] = u
         if self.polynomial.stabilized:
             f0, t0 = self._chi0.free, self._chi0.torsion
+            if f0 == 0:
+                raise AmbiguousGradingError(
+                    f"stabilizer degree is torsion for exponents {self.polynomial.exponents}")
         counts: dict[int, int] = {}
         max_a0 = 0
-        for info in self._gamma_data:
+        for gamma in self.kernel:
+            info = self._stratum(gamma.moving)
             basis = self._basis(info.fixed_poly)
             for elem in basis:
                 base = elem.weight + info.dual_weight
@@ -292,7 +357,7 @@ class HochschildEngine:
         return HHReport(
             exponents=self.polynomial.exponents,
             stabilized=self.polynomial.stabilized,
-            kerchi_order=len(self.kernel),
+            kerchi_order=self.kerchi_order,
             milnor=milnor_number(self.polynomial),
             k_min=k_min,
             k_max=k_max,
@@ -300,12 +365,6 @@ class HochschildEngine:
             max_a0=max_a0,
             engine="oracle",
         )
-
-
-def _count_slice_job(args):
-    exponents, stabilized, start, stop, ks, witnesses = args
-    engine = HochschildEngine(DiagonalPolynomial(tuple(exponents), stabilized))
-    return engine._count_slice(start, stop, ks, witnesses)
 
 
 def hh_dimension(p: DiagonalPolynomial, k: int) -> int:

@@ -1,11 +1,13 @@
 import io
 import json
+import time
 
 import pytest
 
 import mfhh.cli as cli
 from mfhh.cli import canonical_json, run
-from mfhh.hhengine import PropositionCheck, PropositionReport
+from mfhh.charlat import CharacterLattice
+from mfhh.hhengine import PropositionCheck, PropositionReport, oracle_bounds
 
 
 def invoke(*argv):
@@ -157,6 +159,8 @@ def test_oracle_agrees_and_exits_zero():
                        "--k-min", "-4", "--k-max", "4")
     assert code == 0
     assert "DISAGREE" not in out
+    a0_bound, u_bound = oracle_bounds((2, 2, 3, 5), True, -4, 4)
+    assert f"bounds    : a0 <= {a0_bound}, |u| <= {u_bound}" in out
 
 
 def test_oracle_json_uses_fixed_schema():
@@ -193,6 +197,26 @@ def test_ambiguous_grading_exit_code(capsys):
                      "--k-min", "0", "--k-max", "0")
     assert code == 4
     assert "AmbiguousGrading" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hh", "group"])
+@pytest.mark.parametrize("instance", [["1000,1000,1000"], ["2,2,101,103,107,109", "--stabilize"]])
+def test_over_budget_fails_fast(command, instance, capsys):
+    started = time.perf_counter()
+    code, out = invoke(command, "--exponents", *instance)
+    assert time.perf_counter() - started < 1.0
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err.startswith("Budget: ")
+
+
+def test_plain_hh_never_enumerates_the_kernel(monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerated ker chi")
+
+    monkeypatch.setattr(CharacterLattice, "enumerate_ker_chi", refuse)
+    for fmt in ("json", "table", "csv"):
+        code, out = invoke("hh", "--exponents", "2,2,3,5,7", "--stabilize", "--format", fmt)
+        assert code == 0 and out
 
 
 def test_help_exits_zero(capsys):

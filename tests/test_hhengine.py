@@ -7,6 +7,7 @@ from mfhh.hhengine import (
     hh_bruteforce,
     hh_dimension,
     hh_range,
+    oracle_bounds,
     verify_proposition,
 )
 
@@ -155,6 +156,18 @@ def test_oracle_equivalence(exps):
     counts, _ = engine.bruteforce_table(report.max_a0 + 10, 20)
     for row in report.dimensions:
         assert counts.get(row.degree, 0) == row.dim
+
+
+@pytest.mark.parametrize("exps", [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7), (2, 2, 5, 7, 11, 13)])
+def test_a_priori_bounds_dominate_engine_max_a0(exps):
+    a0_bound, _ = oracle_bounds(exps, True, -10, 10)
+    assert HochschildEngine(DiagonalPolynomial(exps, True)).table(-10, 10).max_a0 <= a0_bound
+
+
+def test_a_priori_bounds_unstabilized_and_ambiguous():
+    assert oracle_bounds((3, 4, 5), False, -4, 4) == (0, 4)
+    with pytest.raises(AmbiguousGradingError):
+        oracle_bounds((2, 3, 6), True, 0, 0)
 
 
 def test_oracle_zero_bounds_trivial():
