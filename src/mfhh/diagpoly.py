@@ -9,7 +9,6 @@ cohomology bookkeeping downstream concentrated in a single Koszul degree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 from typing import Mapping
@@ -111,21 +110,25 @@ def jacobi_basis(lat: CharacterLattice,
     powers; the basis consists of all monomials with 0 <= a_i <= k_i - 2 for
     i in S, in lexicographic order, each with its weight.  The empty subset
     yields the unit monomial alone.
+
+    The basis is built one variable at a time, in increasing index order:
+    each monomial of the previous list is extended by the powers of the next
+    variable, stepping the weight by that variable's degree.  Every monomial
+    other than the unit therefore costs exactly one weight addition.
     """
     if 0 in exponents:
         raise ValueError("the stabilizer does not enter a Jacobi ring")
-    variables = sorted(exponents)
-    single = {
-        i: [lat.variable_weight(i).scaled(a) for a in range(exponents[i] - 1)]
-        for i in variables
-    }
-    basis = []
-    for combo in itertools.product(*(range(exponents[i] - 1) for i in variables)):
-        weight = lat.zero_weight()
-        for i, a in zip(variables, combo):
-            weight = weight + single[i][a]
-        basis.append(JacobiBasisElement(tuple(zip(variables, combo)), weight))
-    return basis
+    terms = [((), lat.zero_weight())]
+    for i in sorted(exponents):
+        step = lat.variable_weight(i)
+        extended = []
+        for exps, weight in terms:
+            extended.append((exps + ((i, 0),), weight))
+            for a in range(1, exponents[i] - 1):
+                weight = weight + step
+                extended.append((exps + ((i, a),), weight))
+        terms = extended
+    return [JacobiBasisElement(exps, weight) for exps, weight in terms]
 
 
 def jacobi_dimension(exponents: Mapping[int, int]) -> int:

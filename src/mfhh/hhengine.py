@@ -37,11 +37,22 @@ elements keep z_0 fixed and prod(k_i - 1, i in P) - f(P) move it.  Plain
 dimension tables therefore never enumerate ker(chi); witnesses do, to name
 each gamma.
 
-Within a stratum the engine solves for a_0 exactly from the free coordinate
-of the weight lattice.  A deliberately dumb oracle (`bruteforce_table`)
-walks every element of ker(chi) and rescans a_0 and u over finite windows;
-it must agree whenever its bounds dominate, which the a-priori bounds of
-`oracle_bounds` do without consulting the engine.
+Within a stratum each degree and summand costs one lookup.  The Jacobi
+basis of each fixed-variable set is built once and indexed on first use,
+with offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
+
+* a stratum moving z_0 (every stratum when unstabilized) indexes the basis
+  by weight and looks up u * chi - offset;
+* a stratum fixing z_0 indexes it by the free coordinate modulo
+  |chi_0.free| and looks up that of u * chi - offset.  A bucket holds
+  exactly the monomials for which a_0 can be integral, and each is checked
+  by solving for a_0 exactly from the free coordinate of the weight lattice,
+  torsion coordinates included.
+
+A deliberately dumb oracle (`bruteforce_table`) walks every element of
+ker(chi) and rescans a_0 and u over finite windows; it must agree whenever
+its bounds dominate, which the a-priori bounds of `oracle_bounds` do without
+consulting the engine.
 """
 
 from __future__ import annotations
@@ -70,9 +81,21 @@ ODD = "odd"
 # enumeration the engine or the CLI can start.
 ELEMENT_BUDGET = 10**6
 
+# Most degrees one table or oracle report may span.  Checked before anything
+# is allocated per degree.
+DEGREE_BUDGET = 10**4
+
 
 class BudgetExceededError(ValueError):
-    """The instance would enumerate more than ELEMENT_BUDGET elements."""
+    """The instance would enumerate more than ELEMENT_BUDGET elements, or a
+    degree window would span more than DEGREE_BUDGET degrees."""
+
+
+def _check_degree_window(k_min: int, k_max: int) -> None:
+    if k_max - k_min + 1 > DEGREE_BUDGET:
+        raise BudgetExceededError(
+            f"degree window [{k_min}, {k_max}] spans {k_max - k_min + 1} degrees,"
+            f" more than the degree budget {DEGREE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +199,11 @@ class HochschildEngine:
         self._multiplicities = self.lattice.moving_set_counts()
         self._strata: dict[frozenset[int], _Stratum] = {}
         self._basis_cache: dict[frozenset[int], tuple[JacobiBasisElement, ...]] = {}
+        # Per fixed-variable set, built on first use: the basis bucketed by
+        # weight (strata moving z_0) or by free coordinate mod |chi_0.free|
+        # (strata fixing it).
+        self._by_weight: dict[frozenset[int], dict[Weight, list[JacobiBasisElement]]] = {}
+        self._by_free: dict[frozenset[int], dict[int, list[JacobiBasisElement]]] = {}
 
     @cached_property
     def kernel(self) -> tuple[GroupElement, ...]:
@@ -214,10 +242,39 @@ class HochschildEngine:
         vector = tuple(exps.get(v, 0) for v in self.polynomial.variables)
         return HHContribution(gi, summand, vector, u, k)
 
+    def _chi0_free(self) -> int:
+        """Free coordinate of chi_0; AmbiguousGradingError when it is 0."""
+        f0 = self._chi0.free
+        if f0 == 0:
+            raise AmbiguousGradingError(
+                f"stabilizer degree is torsion for exponents {self.polynomial.exponents}")
+        return f0
+
+    def _index_by_weight(self, fixed_poly: frozenset[int]):
+        """The Jacobi basis on ``fixed_poly``, bucketed by weight."""
+        index = self._by_weight.get(fixed_poly)
+        if index is None:
+            index = self._by_weight[fixed_poly] = {}
+            for elem in self._basis(fixed_poly):
+                index.setdefault(elem.weight, []).append(elem)
+        return index
+
+    def _index_by_free(self, fixed_poly: frozenset[int]):
+        """The Jacobi basis on ``fixed_poly``, bucketed by the free
+        coordinate of the weight modulo |chi_0.free|."""
+        index = self._by_free.get(fixed_poly)
+        if index is None:
+            f0 = abs(self._chi0_free())
+            index = self._by_free[fixed_poly] = {}
+            for elem in self._basis(fixed_poly):
+                index.setdefault(elem.weight.free % f0, []).append(elem)
+        return index
+
     def _count(self, ks: Sequence[int], want_witnesses: bool):
-        """Dimensions of the degrees in ``ks``: each stratum is tested once
-        and weighted by its multiplicity.  Returns (counts, witnesses or
-        None, max accepted a0), all keyed by degree."""
+        """Dimensions of the degrees in ``ks``: each stratum is counted once
+        per degree and summand by one index lookup, and weighted by its
+        multiplicity.  Returns (counts, witnesses or None, max accepted a0),
+        all keyed by degree."""
         lat = self.lattice
         chi = lat.chi
         counts = {k: 0 for k in ks}
@@ -225,34 +282,33 @@ class HochschildEngine:
         accepted = {}  # moving set -> [(k, summand, elem, a0, u)]
         for moving, mult in self._multiplicities.items():
             info = self._stratum(moving)
-            basis = self._basis(info.fixed_poly)
-            partials = {EVEN: [elem.weight + info.dual_weight for elem in basis]}
+            summands = [(EVEN, 0, info.dual_weight)]
             if info.z0_fixed:
-                partials[ODD] = [w - self._chi0 for w in partials[EVEN]]
+                summands.append((ODD, 1, info.dual_weight - self._chi0))
             found = accepted[moving] = []
             for k in ks:
-                for summand, shift in ((EVEN, 0), (ODD, 1)):
-                    if shift and not info.z0_fixed:
-                        continue
+                for summand, shift, offset in summands:
                     num = k - info.moving_count - shift
                     if num % 2:
                         continue
                     u = num // 2
                     target = chi.scaled(u)
-                    for elem, partial in zip(basis, partials[summand]):
-                        if info.z0_fixed:
-                            a0 = lat.solve_a0(u, partial)
-                            if a0 is None:
-                                continue
-                            if a0 > max_a0[k]:
-                                max_a0[k] = a0
-                        else:
-                            if partial != target:
-                                continue
-                            a0 = 0
-                        counts[k] += mult
-                        if want_witnesses:
-                            found.append((k, summand, elem, a0, u))
+                    if info.z0_fixed:
+                        index = self._index_by_free(info.fixed_poly)
+                        key = (target.free - offset.free) % abs(self._chi0.free)
+                        hits = []
+                        for elem in index.get(key, ()):
+                            a0 = lat.solve_a0(u, elem.weight + offset)
+                            if a0 is not None:
+                                hits.append((elem, a0))
+                                if a0 > max_a0[k]:
+                                    max_a0[k] = a0
+                    else:
+                        index = self._index_by_weight(info.fixed_poly)
+                        hits = [(elem, 0) for elem in index.get(target - offset, ())]
+                    counts[k] += mult * len(hits)
+                    if want_witnesses:
+                        found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
         wits = None
         if want_witnesses:
             wits = {k: [] for k in ks}
@@ -271,6 +327,7 @@ class HochschildEngine:
               parallel: int = 1) -> HHReport:
         """Dimensions over [k_min, k_max].  ``parallel`` is accepted for
         compatibility and has no effect: no process is started."""
+        _check_degree_window(k_min, k_max)
         if k_min > k_max:
             raise ValueError("empty degree range")
         ks = list(range(k_min, k_max + 1))
@@ -311,10 +368,7 @@ class HochschildEngine:
             w = chi.scaled(u)
             u_by_key[(w.free, *w.torsion)] = u
         if self.polynomial.stabilized:
-            f0, t0 = self._chi0.free, self._chi0.torsion
-            if f0 == 0:
-                raise AmbiguousGradingError(
-                    f"stabilizer degree is torsion for exponents {self.polynomial.exponents}")
+            f0, t0 = self._chi0_free(), self._chi0.torsion
         counts: dict[int, int] = {}
         max_a0 = 0
         for gamma in self.kernel:
@@ -349,6 +403,7 @@ class HochschildEngine:
 
     def bruteforce_report(self, k_min: int, k_max: int,
                           a0_bound: int, u_bound: int) -> HHReport:
+        _check_degree_window(k_min, k_max)
         if k_min > k_max:
             raise ValueError("empty degree range")
         counts, max_a0 = self.bruteforce_table(a0_bound, u_bound)

@@ -209,6 +209,16 @@ def test_over_budget_fails_fast(command, instance, capsys):
     assert capsys.readouterr().err.startswith("Budget: ")
 
 
+@pytest.mark.parametrize("command", ["hh", "oracle"])
+def test_wide_degree_window_fails_fast(command, capsys):
+    started = time.perf_counter()
+    code, out = invoke(command, "--exponents", "2,3",
+                       "--k-min", "-100000000", "--k-max", "100000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err.startswith("Budget: ")
+
+
 def test_plain_hh_never_enumerates_the_kernel(monkeypatch):
     def refuse(self):
         raise AssertionError("enumerated ker chi")

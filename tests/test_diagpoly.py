@@ -104,11 +104,21 @@ def test_jacobi_basis_rejects_stabilizer(lat2235):
 
 
 def test_jacobi_basis_sizes_over_all_subsets(lat2235):
-    p = DiagonalPolynomial((2, 2, 3, 5), True)
-    for size in range(5):
-        for subset in itertools.combinations(range(1, 5), size):
-            exps = {i: p.exponent_of(i) for i in subset}
-            assert len(jacobi_basis(lat2235, exps)) == jacobi_dimension(exps)
+    """Size, strict lexicographic order and weights of every basis, the
+    weights recomputed from scratch by ``weight_of_monomial``."""
+    cases = [(DiagonalPolynomial((2, 2, 3, 5), True), lat2235)]
+    big = (2, 2, 5, 7, 11, 13)
+    cases.append((DiagonalPolynomial(big, True), build_character_lattice(big, True)))
+    for p, lat in cases:
+        for size in range(p.num_vars + 1):
+            for subset in itertools.combinations(range(1, p.num_vars + 1), size):
+                exps = {i: p.exponent_of(i) for i in subset}
+                basis = jacobi_basis(lat, exps)
+                assert len(basis) == jacobi_dimension(exps)
+                vectors = [elem.exponents for elem in basis]
+                assert all(a < b for a, b in zip(vectors, vectors[1:]))
+                for elem in basis:
+                    assert elem.weight == lat.weight_of_monomial(elem.exponent_map())
 
 
 def test_milnor_equals_full_jacobi_dimension(lat2235):

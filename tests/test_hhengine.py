@@ -186,6 +186,20 @@ def test_oracle_report_shape(engine2235):
     assert [row.dim for row in report.dimensions] == [2, 2, 0, 8]
 
 
+# -- indexed counting ----------------------------------------------------------------
+
+@pytest.mark.parametrize("exps", [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7), (2, 2, 5, 7, 11, 13)])
+def test_table_rows_equal_single_degrees(exps):
+    """One engine answers degree by degree, another the whole window, so
+    each reuses its basis indexes across degrees and summands in a
+    different order."""
+    p = DiagonalPolynomial(exps, True)
+    table = HochschildEngine(p).table(-10, 10)
+    single = HochschildEngine(p)
+    for row in table.dimensions:
+        assert single.dimension(row.degree) == row
+
+
 # -- unstabilized sanity -----------------------------------------------------------
 
 @pytest.mark.parametrize("exps", [(5,), (2, 3)])
@@ -219,8 +233,10 @@ def test_unstabilized_single_variable_dimensions():
 
 def test_ambiguous_grading_propagates():
     engine = HochschildEngine(DiagonalPolynomial((2, 3, 6), True))
-    with pytest.raises(AmbiguousGradingError):
-        engine.dimension(0)
+    for k in (0, 1):
+        for witnesses in (False, True):
+            with pytest.raises(AmbiguousGradingError):
+                engine.dimension(k, witnesses=witnesses)
 
 
 # -- closed-form predictions ---------------------------------------------------------

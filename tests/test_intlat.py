@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfhh.charlat import build_character_lattice
 from mfhh.intlat import (
     AbelianGroupStructure,
     IntMatrix,
@@ -162,3 +165,26 @@ def test_matrix_shape_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+def test_snf_matches_sympy_on_relation_matrices():
+    """Invariant factors of every small instance's relation matrix (N <= 5,
+    2 <= k_i <= 9, prod(k_i) <= 150, both stabilizations) agree with
+    sympy's Smith normal form up to sign."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    checked_lists = 0
+    for n in range(1, 6):
+        for exps in itertools.combinations_with_replacement(range(2, 10), n):
+            if math.prod(exps) > 150:
+                continue
+            for stabilized in (False, True):
+                m = build_character_lattice(exps, stabilized).relation_matrix
+                ours = smith_normal_form(m).D.diagonal()
+                theirs = sympy_snf(Matrix(m.to_rows()), domain=ZZ)
+                assert [abs(x) for x in ours] == [
+                    abs(int(theirs[i, i])) for i in range(min(m.rows, m.cols))]
+                checked_lists += 1
+    assert checked_lists == 336
