@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the closed-form degree-0 and top-degree dimensions for the
 stabilized double suspensions with distinct odd prime exponents, with
-timings.  Run after installing the package (pip install -e .)."""
+timings.  Run after installing the package (pip install -e .).  Exits 2
+if any instance disagrees with the closed forms."""
 
 import argparse
+import sys
 import time
 
 from mfhh.diagpoly import DiagonalPolynomial, milnor_number
@@ -29,6 +31,7 @@ def main():
 
     print(f"{'exponents':>22} {'|ker chi|':>10} {'dim HH^0':>9} {'k3-1':>5}"
           f" {'dim HH^n':>9} {'mu':>6} {'seconds':>8}")
+    mismatches = 0
     for exps in instances:
         started = time.perf_counter()
         p = DiagonalPolynomial(exps, stabilized=True)
@@ -41,8 +44,10 @@ def main():
         k3 = min(k for k in exps if k != 2)
         mu = milnor_number(p)
         mark = "" if (hh0, hhn) == (k3 - 1, mu) else "   <-- MISMATCH"
+        mismatches += bool(mark)
         print(f"{','.join(map(str, exps)):>22} {report.kerchi_order:>10}"
               f" {hh0:>9} {k3 - 1:>5} {hhn:>9} {mu:>6} {elapsed:>8.2f}{mark}")
+    sys.exit(0 if not mismatches else 2)
 
 
 if __name__ == "__main__":

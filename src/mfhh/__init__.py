@@ -12,11 +12,8 @@ from mfhh.charlat import (
 from mfhh.diagpoly import (
     DiagonalPolynomial,
     JacobiBasisElement,
-    Restriction,
     jacobi_basis,
     milnor_number,
-    restrict,
-    transpose,
 )
 from mfhh.hhengine import (
     BudgetExceededError,
@@ -24,9 +21,6 @@ from mfhh.hhengine import (
     HHReport,
     HochschildEngine,
     PropositionReport,
-    hh_bruteforce,
-    hh_dimension,
-    hh_range,
     oracle_bounds,
     verify_proposition,
 )
@@ -56,19 +50,13 @@ __all__ = [
     "JacobiBasisElement",
     "PropositionReport",
     "RankError",
-    "Restriction",
     "SmithDecomposition",
     "Weight",
     "build_character_lattice",
     "cokernel",
-    "hh_bruteforce",
-    "hh_dimension",
-    "hh_range",
     "jacobi_basis",
     "milnor_number",
     "oracle_bounds",
-    "restrict",
     "smith_normal_form",
-    "transpose",
     "verify_proposition",
 ]

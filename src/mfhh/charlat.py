@@ -67,11 +67,6 @@ class Weight:
                       tuple((a - b) % m for a, b, m in zip(self.torsion, other.torsion, self.mods)),
                       self.mods)
 
-    def __neg__(self) -> Weight:
-        return Weight(-self.free,
-                      tuple(-a % m for a, m in zip(self.torsion, self.mods)),
-                      self.mods)
-
     def scaled(self, n: int) -> Weight:
         return Weight(checked(self.free * n),
                       tuple((a * n) % m for a, m in zip(self.torsion, self.mods)),
@@ -123,11 +118,6 @@ class CharacterLattice:
         self._var_col = {i: offset + i - 1 for i in range(1, n + 1)}
         if self.stabilized:
             self._var_col[0] = 0
-        self.generator_labels = tuple(
-            (["chi0"] if self.stabilized else [])
-            + [f"chi{i}" for i in range(1, n + 1)]
-            + ["chi"]
-        )
 
         rows = []
         for i, k in enumerate(exps, start=1):
@@ -165,7 +155,6 @@ class CharacterLattice:
             raise RankError("total degree chi has no free component")
         for row in self.relation_matrix.to_rows():
             assert self._weight_from_coords(row).is_zero()
-        self._kernel: tuple[GroupElement, ...] | None = None
 
     # -- canonical coordinates ------------------------------------------
 
@@ -261,8 +250,6 @@ class CharacterLattice:
         q_0 = -sum(q_i) mod 1.  Order: lexicographic in the numerator
         tuple (n_1, ..., n_N) of q_i = n_i / k_i.
         """
-        if self._kernel is not None:
-            return self._kernel
         elements = []
         for nums in itertools.product(*(range(k) for k in self.exponents)):
             phases = [Fraction(n, k) for n, k in zip(nums, self.exponents)]
@@ -272,8 +259,7 @@ class CharacterLattice:
             fixed = frozenset(v for v, q in zip(self.variables, phases) if q == 0)
             moving = frozenset(self.variables) - fixed
             elements.append(GroupElement(phases, fixed, moving))
-        self._kernel = tuple(elements)
-        return self._kernel
+        return tuple(elements)
 
     def moving_set_counts(self) -> dict[frozenset[int], int]:
         """Number of elements of ker(chi) with each moving set, in closed

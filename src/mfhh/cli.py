@@ -16,9 +16,10 @@ parsed report reproduces it byte for byte.  Exit codes: 1 for usage errors,
 4 when a computation aborts on Overflow, AmbiguousGrading or Budget (the
 error name goes to stderr).  Budget is checked before anything is
 enumerated: every subcommand that builds the engine (all but ``milnor``)
-refuses instances with prod(k_i) = |ker chi| above 10^6, and ``hh`` and
-``oracle`` refuse degree windows of more than 10^4 degrees, so nothing can
-run away with time or memory.
+refuses instances with prod(k_i) = |ker chi| above 10^6, ``hh`` and
+``oracle`` refuse degree windows of more than 10^4 degrees, and ``oracle``
+refuses scan windows (given or derived) of more than 10^4 chi-multiples or
+10^7 weight lookups, so nothing can run away with time or memory.
 
 ``--parallel N`` is accepted and validated for compatibility; it has no
 effect, since the engine no longer starts worker processes.

@@ -1,5 +1,5 @@
-"""Diagonal polynomial data: transpose, Milnor number, fixed-locus
-restrictions, and graded monomial bases of Jacobi rings.
+"""Diagonal polynomial data: Milnor number and graded monomial bases of
+Jacobi rings.
 
 Only diagonal polynomials sum(z_i^{k_i}) are representable.  Every
 restriction of such a polynomial to a coordinate subspace is again diagonal,
@@ -10,10 +10,9 @@ cohomology bookkeeping downstream concentrated in a single Koszul degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Mapping
 
-from mfhh.charlat import CharacterLattice, GroupElement, Weight
+from mfhh.charlat import CharacterLattice, Weight
 from mfhh.intlat import checked
 
 
@@ -50,18 +49,6 @@ class DiagonalPolynomial:
 
 
 @dataclass(frozen=True)
-class Restriction:
-    """Restriction of a diagonal polynomial to the fixed locus of a group
-    element: the surviving polynomial variables and their exponents.  The
-    stabilizer never appears in the polynomial, so its being fixed is
-    reported separately."""
-
-    fixed_vars: tuple[int, ...]
-    exponents: dict[int, int]
-    z0_fixed: bool
-
-
-@dataclass(frozen=True)
 class JacobiBasisElement:
     """A monomial basis element of a Jacobi ring: exponents (var, power)
     with 0 <= power <= k_var - 2, together with its canonical weight."""
@@ -73,33 +60,12 @@ class JacobiBasisElement:
         return dict(self.exponents)
 
 
-def transpose(p: DiagonalPolynomial) -> DiagonalPolynomial:
-    """Polynomial of the transposed exponent matrix.
-
-    The exponent matrix of a diagonal polynomial is diagonal, hence
-    symmetric, so this is the identity map; it exists so that callers can
-    pass any representable polynomial through the mirror construction
-    uniformly.
-    """
-    return DiagonalPolynomial(p.exponents, p.stabilized)
-
-
 def milnor_number(p: DiagonalPolynomial) -> int:
     """prod(k_i - 1) over the polynomial variables (stabilizer excluded)."""
     mu = 1
     for k in p.exponents:
         mu = checked(mu * (k - 1))
     return mu
-
-
-def restrict(p: DiagonalPolynomial, gamma: GroupElement) -> Restriction:
-    """Restriction of p to the coordinate subspace fixed by gamma."""
-    fixed_vars = tuple(sorted(i for i in gamma.fixed if i != 0))
-    return Restriction(
-        fixed_vars=fixed_vars,
-        exponents={i: p.exponent_of(i) for i in fixed_vars},
-        z0_fixed=p.stabilized and 0 in gamma.fixed,
-    )
 
 
 def jacobi_basis(lat: CharacterLattice,
@@ -129,8 +95,3 @@ def jacobi_basis(lat: CharacterLattice,
                 extended.append((exps + ((i, a),), weight))
         terms = extended
     return [JacobiBasisElement(exps, weight) for exps, weight in terms]
-
-
-def jacobi_dimension(exponents: Mapping[int, int]) -> int:
-    """Expected basis size prod(k_i - 1), without enumerating."""
-    return prod(k - 1 for k in exponents.values())

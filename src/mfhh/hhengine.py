@@ -81,17 +81,21 @@ ODD = "odd"
 # enumeration the engine or the CLI can start.
 ELEMENT_BUDGET = 10**6
 
-# Most degrees one table or oracle report may span.  Checked before anything
-# is allocated per degree.
+# Most degrees one table or oracle report may span, and most chi-multiples
+# the oracle may scan.  Checked before anything is allocated per degree.
 DEGREE_BUDGET = 10**4
+
+# Most weight lookups one oracle recount may make.
+SCAN_BUDGET = 10**7
 
 
 class BudgetExceededError(ValueError):
-    """The instance would enumerate more than ELEMENT_BUDGET elements, or a
-    degree window would span more than DEGREE_BUDGET degrees."""
+    """The instance, a degree window or an oracle scan exceeds its budget."""
 
 
 def _check_degree_window(k_min: int, k_max: int) -> None:
+    if k_min > k_max:
+        raise ValueError("empty degree range")
     if k_max - k_min + 1 > DEGREE_BUDGET:
         raise BudgetExceededError(
             f"degree window [{k_min}, {k_max}] spans {k_max - k_min + 1} degrees,"
@@ -147,6 +151,7 @@ class HHReport:
 class _Stratum:
     """What a group element's contribution depends on, given its moving set."""
 
+    multiplicity: int  # elements of ker(chi) with this moving set
     moving_count: int
     z0_fixed: bool
     fixed_poly: frozenset[int]
@@ -196,8 +201,19 @@ class HochschildEngine:
         self.lattice: CharacterLattice = build_character_lattice(
             polynomial.exponents, polynomial.stabilized)
         self._chi0 = self.lattice.variable_weight(0) if polynomial.stabilized else None
-        self._multiplicities = self.lattice.moving_set_counts()
         self._strata: dict[frozenset[int], _Stratum] = {}
+        all_poly = frozenset(range(1, polynomial.num_vars + 1))
+        for moving, mult in self.lattice.moving_set_counts().items():
+            dual = self.lattice.zero_weight()
+            for j in moving:
+                dual = dual - self.lattice.variable_weight(j)
+            self._strata[moving] = _Stratum(
+                multiplicity=mult,
+                moving_count=len(moving),
+                z0_fixed=polynomial.stabilized and 0 not in moving,
+                fixed_poly=all_poly - moving,
+                dual_weight=dual,
+            )
         self._basis_cache: dict[frozenset[int], tuple[JacobiBasisElement, ...]] = {}
         # Per fixed-variable set, built on first use: the basis bucketed by
         # weight (strata moving z_0) or by free coordinate mod |chi_0.free|
@@ -209,22 +225,6 @@ class HochschildEngine:
     def kernel(self) -> tuple[GroupElement, ...]:
         """Every element of ker(chi); enumerated on first use only."""
         return self.lattice.enumerate_ker_chi()
-
-    def _stratum(self, moving: frozenset[int]) -> _Stratum:
-        cached = self._strata.get(moving)
-        if cached is None:
-            lat = self.lattice
-            dual = lat.zero_weight()
-            for j in moving:
-                dual = dual - lat.variable_weight(j)
-            cached = _Stratum(
-                moving_count=len(moving),
-                z0_fixed=self.polynomial.stabilized and 0 not in moving,
-                fixed_poly=frozenset(range(1, self.polynomial.num_vars + 1)) - moving,
-                dual_weight=dual,
-            )
-            self._strata[moving] = cached
-        return cached
 
     def _basis(self, fixed_poly: frozenset[int]) -> tuple[JacobiBasisElement, ...]:
         cached = self._basis_cache.get(fixed_poly)
@@ -280,8 +280,7 @@ class HochschildEngine:
         counts = {k: 0 for k in ks}
         max_a0 = {k: 0 for k in ks}
         accepted = {}  # moving set -> [(k, summand, elem, a0, u)]
-        for moving, mult in self._multiplicities.items():
-            info = self._stratum(moving)
+        for moving, info in self._strata.items():
             summands = [(EVEN, 0, info.dual_weight)]
             if info.z0_fixed:
                 summands.append((ODD, 1, info.dual_weight - self._chi0))
@@ -306,7 +305,7 @@ class HochschildEngine:
                     else:
                         index = self._index_by_weight(info.fixed_poly)
                         hits = [(elem, 0) for elem in index.get(target - offset, ())]
-                    counts[k] += mult * len(hits)
+                    counts[k] += info.multiplicity * len(hits)
                     if want_witnesses:
                         found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
         wits = None
@@ -323,29 +322,27 @@ class HochschildEngine:
         counts, wits, max_a0 = self._count([k], witnesses)
         return DegreeDimension(k, counts[k], tuple(wits[k]) if witnesses else None, max_a0[k])
 
-    def table(self, k_min: int, k_max: int, witnesses: bool = False,
-              parallel: int = 1) -> HHReport:
-        """Dimensions over [k_min, k_max].  ``parallel`` is accepted for
-        compatibility and has no effect: no process is started."""
-        _check_degree_window(k_min, k_max)
-        if k_min > k_max:
-            raise ValueError("empty degree range")
-        ks = list(range(k_min, k_max + 1))
-        counts, wits, max_a0 = self._count(ks, witnesses)
-        rows = tuple(DegreeDimension(k, counts[k], tuple(wits[k]) if witnesses else None,
-                                     max_a0[k])
-                     for k in ks)
+    def _report(self, rows: Sequence[DegreeDimension], max_a0: int, engine: str) -> HHReport:
         return HHReport(
             exponents=self.polynomial.exponents,
             stabilized=self.polynomial.stabilized,
             kerchi_order=self.kerchi_order,
             milnor=milnor_number(self.polynomial),
-            k_min=k_min,
-            k_max=k_max,
-            dimensions=rows,
-            max_a0=max(max_a0.values(), default=0),
-            engine="closed-form",
+            k_min=rows[0].degree,
+            k_max=rows[-1].degree,
+            dimensions=tuple(rows),
+            max_a0=max_a0,
+            engine=engine,
         )
+
+    def table(self, k_min: int, k_max: int, witnesses: bool = False) -> HHReport:
+        """Dimensions over [k_min, k_max]."""
+        _check_degree_window(k_min, k_max)
+        ks = range(k_min, k_max + 1)
+        counts, wits, max_a0 = self._count(ks, witnesses)
+        rows = [DegreeDimension(k, counts[k], tuple(wits[k]) if witnesses else None, max_a0[k])
+                for k in ks]
+        return self._report(rows, max(max_a0.values()), "closed-form")
 
     def bruteforce_table(self, a0_bound: int, u_bound: int):
         """Independent recount with scanned stabilizer powers and scanned
@@ -356,10 +353,20 @@ class HochschildEngine:
         Returns (counts by degree, max accepted a_0).  Degrees absent from
         the dict have count 0 within the scanned windows.  Raises
         AmbiguousGradingError when chi_0 is torsion, since the count would
-        then grow with a0_bound.
+        then grow with a0_bound, and BudgetExceededError before scanning when
+        the windows exceed DEGREE_BUDGET chi-multiples or SCAN_BUDGET lookups.
         """
         if a0_bound < 0 or u_bound < 0:
             raise ValueError("scan bounds must be nonnegative")
+        u_count = 2 * u_bound + 1
+        steps = u_count + sum(
+            info.multiplicity * (2 * (a0_bound + 1) if info.z0_fixed else 1)
+            * math.prod(self.polynomial.exponent_of(i) - 1 for i in info.fixed_poly)
+            for info in self._strata.values())
+        if u_count > DEGREE_BUDGET or steps > SCAN_BUDGET:
+            raise BudgetExceededError(
+                f"oracle scan over {u_count} chi-multiples (degree budget {DEGREE_BUDGET})"
+                f" needs {steps} lookups (scan budget {SCAN_BUDGET})")
         lat = self.lattice
         chi = lat.chi
         mods = lat.torsion_mods
@@ -372,7 +379,7 @@ class HochschildEngine:
         counts: dict[int, int] = {}
         max_a0 = 0
         for gamma in self.kernel:
-            info = self._stratum(gamma.moving)
+            info = self._strata[gamma.moving]
             basis = self._basis(info.fixed_poly)
             for elem in basis:
                 base = elem.weight + info.dual_weight
@@ -404,40 +411,9 @@ class HochschildEngine:
     def bruteforce_report(self, k_min: int, k_max: int,
                           a0_bound: int, u_bound: int) -> HHReport:
         _check_degree_window(k_min, k_max)
-        if k_min > k_max:
-            raise ValueError("empty degree range")
         counts, max_a0 = self.bruteforce_table(a0_bound, u_bound)
-        rows = tuple(DegreeDimension(k, counts.get(k, 0), None, 0)
-                     for k in range(k_min, k_max + 1))
-        return HHReport(
-            exponents=self.polynomial.exponents,
-            stabilized=self.polynomial.stabilized,
-            kerchi_order=self.kerchi_order,
-            milnor=milnor_number(self.polynomial),
-            k_min=k_min,
-            k_max=k_max,
-            dimensions=rows,
-            max_a0=max_a0,
-            engine="oracle",
-        )
-
-
-def hh_dimension(p: DiagonalPolynomial, k: int) -> int:
-    """Dimension in one cohomological degree."""
-    return HochschildEngine(p).dimension(k).dim
-
-
-def hh_range(p: DiagonalPolynomial, k_min: int, k_max: int,
-             witnesses: bool = False, parallel: int = 1) -> HHReport:
-    """Dimension table over an inclusive degree range."""
-    return HochschildEngine(p).table(k_min, k_max, witnesses, parallel)
-
-
-def hh_bruteforce(p: DiagonalPolynomial, k: int, a0_bound: int, u_bound: int) -> int:
-    """Oracle count in one degree; equals hh_dimension whenever the scan
-    bounds dominate every contribution the closed-form engine accepts."""
-    counts, _ = HochschildEngine(p).bruteforce_table(a0_bound, u_bound)
-    return counts.get(k, 0)
+        rows = [DegreeDimension(k, counts.get(k, 0), None, 0) for k in range(k_min, k_max + 1)]
+        return self._report(rows, max_a0, "oracle")
 
 
 # -- closed-form predictions -------------------------------------------------

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import mfhh
 import mfhh.cli as cli
 from mfhh.cli import canonical_json, run
 from mfhh.charlat import CharacterLattice
@@ -217,6 +218,44 @@ def test_wide_degree_window_fails_fast(command, capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 4 and out == ""
     assert capsys.readouterr().err.startswith("Budget: ")
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--k-min", "100000000", "--k-max", "100000000"),
+    ("--u-bound", "100000000"),
+    ("--a0-bound", "1000000000"),
+])
+def test_oracle_scan_window_fails_fast(bounds, capsys):
+    started = time.perf_counter()
+    code, out = invoke("oracle", "--exponents", "2,3", "--stabilize", *bounds)
+    assert time.perf_counter() - started < 1.0
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err.startswith("Budget: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("hh", "--witnesses", "--format", "table"),
+    ("hh", "--witnesses", "--format", "json"),
+    ("group", "--format", "table"),
+    ("group", "--format", "json"),
+])
+def test_kernel_is_enumerated_once(argv, monkeypatch):
+    calls = []
+    enumerate_ker_chi = CharacterLattice.enumerate_ker_chi
+
+    def counting(self):
+        calls.append(self)
+        return enumerate_ker_chi(self)
+
+    monkeypatch.setattr(CharacterLattice, "enumerate_ker_chi", counting)
+    code, out = invoke(*argv, "--exponents", "2,2,3,5", "--stabilize")
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
+def test_public_names_resolve():
+    for name in mfhh.__all__:
+        getattr(mfhh, name)
 
 
 def test_plain_hh_never_enumerates_the_kernel(monkeypatch):

@@ -4,9 +4,6 @@ from mfhh.charlat import AmbiguousGradingError
 from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis, milnor_number
 from mfhh.hhengine import (
     HochschildEngine,
-    hh_bruteforce,
-    hh_dimension,
-    hh_range,
     oracle_bounds,
     verify_proposition,
 )
@@ -28,13 +25,13 @@ def test_dimension_2235_degree_n(engine2235):
 
 
 def test_dimension_223():
-    p = DiagonalPolynomial((2, 2, 3), True)
-    assert hh_dimension(p, 0) == 2
-    assert hh_dimension(p, 2) == 2
+    engine = HochschildEngine(DiagonalPolynomial((2, 2, 3), True))
+    assert engine.dimension(0).dim == 2
+    assert engine.dimension(2).dim == 2
 
 
 def test_dimension_22357_degree_n():
-    assert hh_dimension(DiagonalPolynomial((2, 2, 3, 5, 7), True), 4) == 48
+    assert HochschildEngine(DiagonalPolynomial((2, 2, 3, 5, 7), True)).dimension(4).dim == 48
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -135,16 +132,10 @@ def test_empty_range_rejected(engine2235):
 
 
 def test_range_223_with_oracle_middle_degree():
-    p = DiagonalPolynomial((2, 2, 3), True)
-    report = hh_range(p, 0, 2)
-    d1 = hh_bruteforce(p, 1, 50, 20)
+    engine = HochschildEngine(DiagonalPolynomial((2, 2, 3), True))
+    report = engine.table(0, 2)
+    d1 = engine.bruteforce_table(50, 20)[0].get(1, 0)
     assert {row.degree: row.dim for row in report.dimensions} == {0: 2, 1: d1, 2: 2}
-
-
-def test_parallel_matches_serial(engine2235):
-    serial = engine2235.table(-4, 4, witnesses=True, parallel=1)
-    forked = engine2235.table(-4, 4, witnesses=True, parallel=3)
-    assert serial == forked
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -172,7 +163,8 @@ def test_a_priori_bounds_unstabilized_and_ambiguous():
 
 def test_oracle_zero_bounds_trivial():
     # no admissible u at all when the parity of k never matches
-    assert hh_bruteforce(DiagonalPolynomial((2,), False), 1, 0, 0) == 0
+    counts, _ = HochschildEngine(DiagonalPolynomial((2,), False)).bruteforce_table(0, 0)
+    assert counts.get(1, 0) == 0
 
 
 def test_oracle_bound_validation(engine2235):

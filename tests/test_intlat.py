@@ -72,7 +72,7 @@ def test_snf_diag_2_3():
 
 
 def test_snf_zero_row_matrix():
-    m = IntMatrix.zeros(1, 2)
+    m = IntMatrix(1, 2, (0, 0))
     snf = smith_normal_form(m)
     assert snf.D == m
 
