@@ -16,10 +16,12 @@ parsed report reproduces it byte for byte.  Exit codes: 1 for usage errors,
 4 when a computation aborts on Overflow, AmbiguousGrading or Budget (the
 error name goes to stderr).  Budget is checked before anything is
 enumerated: every subcommand that builds the engine (all but ``milnor``)
-refuses instances with prod(k_i) = |ker chi| above 10^6, ``hh`` and
-``oracle`` refuse degree windows of more than 10^4 degrees, and ``oracle``
-refuses scan windows (given or derived) of more than 10^4 chi-multiples or
-10^7 weight lookups, so nothing can run away with time or memory.
+refuses instances with prod(k_i) = |ker chi| above 10^5; ``hh`` and
+``oracle`` refuse degree windows of more than 10^4 degrees, and windows
+whose degrees times moving-set strata exceed 2*10^6 (checked once the
+strata are built); ``oracle`` refuses scan windows (given or derived) of
+more than 10^4 chi-multiples or 10^7 weight lookups.  These bound the size
+of every enumeration and scan, not its time.
 
 ``--parallel N`` is accepted and validated for compatibility; it has no
 effect, since the engine no longer starts worker processes.
@@ -30,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from mfhh.charlat import AmbiguousGradingError, GroupElement
 from mfhh.diagpoly import DiagonalPolynomial, milnor_number
@@ -54,19 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    exponents: tuple[int, ...]
-    stabilized: bool
-    k_min: int
-    k_max: int
-    fmt: str
-    witnesses: bool
-    a0_bound: int | None
-    u_bound: int | None
-
-
 def _parse_exponents(text: str) -> tuple[int, ...]:
     try:
         exps = tuple(int(part) for part in text.split(","))
@@ -84,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def add_common(p, k_range=False, witnesses=False, bounds=False):
+    def add_common(p, command, k_range=False, witnesses=False, bounds=False):
+        p.set_defaults(command=command, k_min=None, k_max=None, witnesses=False,
+                       a0_bound=None, u_bound=None)
         p.add_argument("--exponents", required=True, type=_parse_exponents,
                        metavar="k1,k2,...", help="diagonal exponents, each >= 2")
         p.add_argument("--stabilize", action="store_true",
@@ -94,60 +84,46 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=int, default=1, metavar="N",
                        help="accepted for compatibility; has no effect")
         if k_range:
-            p.add_argument("--k-min", type=int, default=None)
-            p.add_argument("--k-max", type=int, default=None)
+            p.add_argument("--k-min", type=int)
+            p.add_argument("--k-max", type=int)
         if witnesses:
             p.add_argument("--witnesses", action="store_true",
                            help="list every contribution behind each dimension")
         if bounds:
-            p.add_argument("--a0-bound", type=int, default=None, metavar="B",
+            p.add_argument("--a0-bound", type=int, metavar="B",
                            help="stabilizer-power scan bound (default: a-priori bound"
                                 " from the degree equation)")
-            p.add_argument("--u-bound", type=int, default=None, metavar="U",
+            p.add_argument("--u-bound", type=int, metavar="U",
                            help="chi-multiple scan bound (default: a-priori bound for the range)")
 
-    add_common(sub.add_parser("group", help="print the symmetry group data"))
-    add_common(sub.add_parser("milnor", help="print the Milnor number"))
-    add_common(sub.add_parser("hh", help="print the dimension table"),
+    add_common(sub.add_parser("group", help="print the symmetry group data"), cmd_group)
+    add_common(sub.add_parser("milnor", help="print the Milnor number"), cmd_milnor)
+    add_common(sub.add_parser("hh", help="print the dimension table"), cmd_hh,
                k_range=True, witnesses=True)
-    add_common(sub.add_parser("verify", help="check the closed-form predictions"))
+    add_common(sub.add_parser("verify", help="check the closed-form predictions"), cmd_verify)
     add_common(sub.add_parser("oracle", help="compare the bounded rescan with the engine"),
-               k_range=True, bounds=True)
+               cmd_oracle, k_range=True, bounds=True)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    exps = args.exponents
-    n = len(exps) - 1
-    k_min = getattr(args, "k_min", None)
-    k_max = getattr(args, "k_max", None)
-    if k_min is None:
-        k_min = -2 * n
-    if k_max is None:
-        k_max = 2 * n
-    if k_min > k_max:
-        raise _UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
+def _check_args(args) -> None:
+    """Reject option combinations argparse cannot express, and fill in the
+    default degree window [-2n, 2n]."""
+    n = len(args.exponents) - 1
+    if args.k_min is None:
+        args.k_min = -2 * n
+    if args.k_max is None:
+        args.k_max = 2 * n
+    if args.k_min > args.k_max:
+        raise _UsageError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     if args.parallel < 1:
         raise _UsageError("--parallel must be >= 1")
     if args.fmt == "csv" and args.subcommand != "hh":
         raise _UsageError("csv output is only defined for the hh subcommand")
-    a0_bound = getattr(args, "a0_bound", None)
-    u_bound = getattr(args, "u_bound", None)
-    if a0_bound is not None and a0_bound < 0:
+    if args.a0_bound is not None and args.a0_bound < 0:
         raise _UsageError("--a0-bound must be >= 0")
-    if u_bound is not None and u_bound < 0:
+    if args.u_bound is not None and args.u_bound < 0:
         raise _UsageError("--u-bound must be >= 0")
-    return RunConfig(
-        subcommand=args.subcommand,
-        exponents=exps,
-        stabilized=args.stabilize,
-        k_min=k_min,
-        k_max=k_max,
-        fmt=args.fmt,
-        witnesses=getattr(args, "witnesses", False),
-        a0_bound=a0_bound,
-        u_bound=u_bound,
-    )
 
 
 def canonical_json(payload) -> str:
@@ -165,9 +141,9 @@ def _monomial_string(exponents, variables) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _header_lines(exps, stabilized) -> list[str]:
+def _header_line(exps, stabilized) -> str:
     tag = " (stabilized)" if stabilized else ""
-    return [f"exponents : {','.join(str(k) for k in exps)}{tag}"]
+    return f"exponents : {','.join(str(k) for k in exps)}{tag}"
 
 
 # -- hh ---------------------------------------------------------------------
@@ -200,8 +176,7 @@ def _hh_payload(report: HHReport, kernel):
 
 
 def _print_hh_table(report: HHReport, engine: HochschildEngine, out):
-    for line in _header_lines(report.exponents, report.stabilized):
-        print(line, file=out)
+    print(_header_line(report.exponents, report.stabilized), file=out)
     print(f"|ker chi| : {report.kerchi_order}", file=out)
     print(f"milnor    : {report.milnor}", file=out)
     print(f"engine    : {report.engine}", file=out)
@@ -217,13 +192,13 @@ def _print_hh_table(report: HHReport, engine: HochschildEngine, out):
                       file=out)
 
 
-def cmd_hh(cfg: RunConfig, out) -> int:
-    engine = HochschildEngine(DiagonalPolynomial(cfg.exponents, cfg.stabilized))
-    report = engine.table(cfg.k_min, cfg.k_max, witnesses=cfg.witnesses)
-    if cfg.fmt == "json":
-        kernel = engine.kernel if cfg.witnesses else None
+def cmd_hh(args, out) -> int:
+    engine = HochschildEngine(DiagonalPolynomial(args.exponents, args.stabilize))
+    report = engine.table(args.k_min, args.k_max, witnesses=args.witnesses)
+    if args.fmt == "json":
+        kernel = engine.kernel if args.witnesses else None
         print(canonical_json(_hh_payload(report, kernel)), file=out)
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("k,dim", file=out)
         for row in report.dimensions:
             print(f"{row.degree},{row.dim}", file=out)
@@ -234,13 +209,13 @@ def cmd_hh(cfg: RunConfig, out) -> int:
 
 # -- group / milnor ----------------------------------------------------------
 
-def cmd_group(cfg: RunConfig, out) -> int:
-    engine = HochschildEngine(DiagonalPolynomial(cfg.exponents, cfg.stabilized))
+def cmd_group(args, out) -> int:
+    engine = HochschildEngine(DiagonalPolynomial(args.exponents, args.stabilize))
     lat = engine.lattice
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
-            "exponents": list(cfg.exponents),
-            "stabilized": cfg.stabilized,
+            "exponents": list(args.exponents),
+            "stabilized": args.stabilize,
             "free_rank": 1,
             "torsion": list(lat.torsion_mods),
             "kerchi_order": len(engine.kernel),
@@ -248,8 +223,7 @@ def cmd_group(cfg: RunConfig, out) -> int:
         }
         print(canonical_json(payload), file=out)
     else:
-        for line in _header_lines(cfg.exponents, cfg.stabilized):
-            print(line, file=out)
+        print(_header_line(args.exponents, args.stabilize), file=out)
         torsion = " + ".join(f"Z/{d}" for d in lat.torsion_mods)
         print(f"lattice   : Z{' + ' + torsion if torsion else ''}", file=out)
         print(f"|ker chi| : {len(engine.kernel)}", file=out)
@@ -259,12 +233,12 @@ def cmd_group(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_milnor(cfg: RunConfig, out) -> int:
-    mu = milnor_number(DiagonalPolynomial(cfg.exponents, cfg.stabilized))
-    if cfg.fmt == "json":
+def cmd_milnor(args, out) -> int:
+    mu = milnor_number(DiagonalPolynomial(args.exponents, args.stabilize))
+    if args.fmt == "json":
         payload = {
-            "exponents": list(cfg.exponents),
-            "stabilized": cfg.stabilized,
+            "exponents": list(args.exponents),
+            "stabilized": args.stabilize,
             "milnor": mu,
         }
         print(canonical_json(payload), file=out)
@@ -275,12 +249,12 @@ def cmd_milnor(cfg: RunConfig, out) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    report = verify_proposition(DiagonalPolynomial(cfg.exponents, cfg.stabilized))
-    if cfg.fmt == "json":
+def cmd_verify(args, out) -> int:
+    report = verify_proposition(DiagonalPolynomial(args.exponents, args.stabilize))
+    if args.fmt == "json":
         payload = {
-            "exponents": list(cfg.exponents),
-            "stabilized": cfg.stabilized,
+            "exponents": list(args.exponents),
+            "stabilized": args.stabilize,
             "status": report.status,
             "reasons": list(report.reasons),
             "checks": [
@@ -291,8 +265,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
         }
         print(canonical_json(payload), file=out)
     else:
-        for line in _header_lines(cfg.exponents, cfg.stabilized):
-            print(line, file=out)
+        print(_header_line(args.exponents, args.stabilize), file=out)
         print(f"status    : {report.status}", file=out)
         for reason in report.reasons:
             print(f"  reason  : {reason}", file=out)
@@ -309,23 +282,22 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 
 # -- oracle --------------------------------------------------------------------
 
-def cmd_oracle(cfg: RunConfig, out) -> int:
-    engine = HochschildEngine(DiagonalPolynomial(cfg.exponents, cfg.stabilized))
-    closed = engine.table(cfg.k_min, cfg.k_max)
-    derived = oracle_bounds(cfg.exponents, cfg.stabilized, cfg.k_min, cfg.k_max)
-    a0_bound = derived[0] if cfg.a0_bound is None else cfg.a0_bound
-    u_bound = derived[1] if cfg.u_bound is None else cfg.u_bound
-    oracle = engine.bruteforce_report(cfg.k_min, cfg.k_max, a0_bound, u_bound)
+def cmd_oracle(args, out) -> int:
+    engine = HochschildEngine(DiagonalPolynomial(args.exponents, args.stabilize))
+    closed = engine.table(args.k_min, args.k_max)
+    derived = oracle_bounds(args.exponents, args.stabilize, args.k_min, args.k_max)
+    a0_bound = derived[0] if args.a0_bound is None else args.a0_bound
+    u_bound = derived[1] if args.u_bound is None else args.u_bound
+    oracle = engine.bruteforce_report(args.k_min, args.k_max, a0_bound, u_bound)
     mismatches = [
         (c.degree, c.dim, o.dim)
         for c, o in zip(closed.dimensions, oracle.dimensions)
         if c.dim != o.dim
     ]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(canonical_json(_hh_payload(oracle, None)), file=out)
     else:
-        for line in _header_lines(cfg.exponents, cfg.stabilized):
-            print(line, file=out)
+        print(_header_line(args.exponents, args.stabilize), file=out)
         print(f"bounds    : a0 <= {a0_bound}, |u| <= {u_bound}", file=out)
         print(f"{'k':>5} {'engine':>8} {'oracle':>8}  agree", file=out)
         for c, o in zip(closed.dimensions, oracle.dimensions):
@@ -337,22 +309,13 @@ def cmd_oracle(cfg: RunConfig, out) -> int:
     return 0 if not mismatches else 2
 
 
-_COMMANDS = {
-    "group": cmd_group,
-    "milnor": cmd_milnor,
-    "hh": cmd_hh,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-}
-
-
 def run(argv, out=None) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        _check_args(args)
     except _UsageError as exc:
         print(f"mfhh: error: {exc}", file=sys.stderr)
         return 1
@@ -360,7 +323,7 @@ def run(argv, out=None) -> int:
         code = exc.code
         return 0 if code in (None, 0) else int(code)
     try:
-        return _COMMANDS[cfg.subcommand](cfg, out)
+        return args.command(args, out)
     except IntegerOverflowError as exc:
         print(f"Overflow: {exc}", file=sys.stderr)
         return 4

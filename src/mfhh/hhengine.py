@@ -79,7 +79,7 @@ ODD = "odd"
 # Largest prod(k_i) the engine accepts.  That product is both |ker chi| and
 # the total size of the per-stratum Jacobi bases, so it bounds every
 # enumeration the engine or the CLI can start.
-ELEMENT_BUDGET = 10**6
+ELEMENT_BUDGET = 10**5
 
 # Most degrees one table or oracle report may span, and most chi-multiples
 # the oracle may scan.  Checked before anything is allocated per degree.
@@ -87,6 +87,11 @@ DEGREE_BUDGET = 10**4
 
 # Most weight lookups one oracle recount may make.
 SCAN_BUDGET = 10**7
+
+# Most (stratum, degree) pairs one table may count.  Many small exponents
+# give up to 2^(N+1) strata under the element budget, and a table does one
+# lookup per stratum, degree and summand.
+STRATUM_DEGREE_BUDGET = 2 * 10**6
 
 
 class BudgetExceededError(ValueError):
@@ -270,11 +275,10 @@ class HochschildEngine:
                 index.setdefault(elem.weight.free % f0, []).append(elem)
         return index
 
-    def _count(self, ks: Sequence[int], want_witnesses: bool):
-        """Dimensions of the degrees in ``ks``: each stratum is counted once
-        per degree and summand by one index lookup, and weighted by its
-        multiplicity.  Returns (counts, witnesses or None, max accepted a0),
-        all keyed by degree."""
+    def _count(self, ks: Sequence[int], want_witnesses: bool) -> list[DegreeDimension]:
+        """Rows for the degrees in ``ks``: each stratum is counted once per
+        degree and summand by one index lookup, and weighted by its
+        multiplicity."""
         lat = self.lattice
         chi = lat.chi
         counts = {k: 0 for k in ks}
@@ -308,19 +312,18 @@ class HochschildEngine:
                     counts[k] += info.multiplicity * len(hits)
                     if want_witnesses:
                         found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
-        wits = None
+        wits = {k: [] for k in ks}
         if want_witnesses:
-            wits = {k: [] for k in ks}
             for gi, gamma in enumerate(self.kernel):
                 for k, summand, elem, a0, u in accepted[gamma.moving]:
                     wits[k].append(self._witness(gi, summand, elem, a0, u, k))
-            for row in wits.values():
-                row.sort(key=HHContribution.sort_key)
-        return counts, wits, max_a0
+        return [DegreeDimension(k, counts[k],
+                                tuple(sorted(wits[k], key=HHContribution.sort_key))
+                                if want_witnesses else None, max_a0[k])
+                for k in ks]
 
     def dimension(self, k: int, witnesses: bool = False) -> DegreeDimension:
-        counts, wits, max_a0 = self._count([k], witnesses)
-        return DegreeDimension(k, counts[k], tuple(wits[k]) if witnesses else None, max_a0[k])
+        return self._count([k], witnesses)[0]
 
     def _report(self, rows: Sequence[DegreeDimension], max_a0: int, engine: str) -> HHReport:
         return HHReport(
@@ -338,11 +341,13 @@ class HochschildEngine:
     def table(self, k_min: int, k_max: int, witnesses: bool = False) -> HHReport:
         """Dimensions over [k_min, k_max]."""
         _check_degree_window(k_min, k_max)
-        ks = range(k_min, k_max + 1)
-        counts, wits, max_a0 = self._count(ks, witnesses)
-        rows = [DegreeDimension(k, counts[k], tuple(wits[k]) if witnesses else None, max_a0[k])
-                for k in ks]
-        return self._report(rows, max(max_a0.values()), "closed-form")
+        pairs = len(self._strata) * (k_max - k_min + 1)
+        if pairs > STRATUM_DEGREE_BUDGET:
+            raise BudgetExceededError(
+                f"{len(self._strata)} strata over {k_max - k_min + 1} degrees give {pairs}"
+                f" stratum-degree pairs, more than the budget {STRATUM_DEGREE_BUDGET}")
+        rows = self._count(range(k_min, k_max + 1), witnesses)
+        return self._report(rows, max(row.max_a0 for row in rows), "closed-form")
 
     def bruteforce_table(self, a0_bound: int, u_bound: int):
         """Independent recount with scanned stabilizer powers and scanned
@@ -378,23 +383,29 @@ class HochschildEngine:
             f0, t0 = self._chi0_free(), self._chi0.torsion
         counts: dict[int, int] = {}
         max_a0 = 0
+        duals: dict[frozenset[int], Weight] = {}
         for gamma in self.kernel:
-            info = self._strata[gamma.moving]
-            basis = self._basis(info.fixed_poly)
-            for elem in basis:
-                base = elem.weight + info.dual_weight
+            # Everything below comes from gamma itself, not from the
+            # engine's strata, so a wrong stratum cannot repeat here.
+            z0_fixed = 0 in gamma.fixed
+            moving_count = len(gamma.moving)
+            dual = duals.get(gamma.moving)
+            if dual is None:
+                dual = duals[gamma.moving] = lat.weight_of_monomial({}, duals=gamma.moving)
+            for elem in self._basis(gamma.fixed - {0}):
+                base = elem.weight + dual
                 for shift in (0, 1):
-                    if shift and not info.z0_fixed:
+                    if shift and not z0_fixed:
                         continue
                     start = base - self._chi0 if shift else base
-                    if info.z0_fixed:
+                    if z0_fixed:
                         checked(start.free + a0_bound * f0)
                         f = start.free
                         t = list(start.torsion)
                         for a0 in range(a0_bound + 1):
                             u = u_by_key.get((f, *t))
                             if u is not None:
-                                k = 2 * u + info.moving_count + shift
+                                k = 2 * u + moving_count + shift
                                 counts[k] = counts.get(k, 0) + 1
                                 if a0 > max_a0:
                                     max_a0 = a0
@@ -404,7 +415,7 @@ class HochschildEngine:
                     else:
                         u = u_by_key.get((start.free, *start.torsion))
                         if u is not None:
-                            k = 2 * u + info.moving_count
+                            k = 2 * u + moving_count
                             counts[k] = counts.get(k, 0) + 1
         return counts, max_a0
 

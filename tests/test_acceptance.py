@@ -13,7 +13,7 @@ import pytest
 from mfhh.charlat import build_character_lattice
 from mfhh.cli import run
 from mfhh.diagpoly import DiagonalPolynomial, milnor_number
-from mfhh.hhengine import HochschildEngine
+from mfhh.hhengine import HochschildEngine, oracle_bounds
 from mfhh.intlat import IntMatrix, determinant, smith_normal_form
 
 # (exponents, expected dim HH^0 = k3 - 1, expected dim HH^n = milnor number)
@@ -85,7 +85,7 @@ def test_criterion_4_oracle_equivalence(engines):
     for exps, _, _ in PROPOSITION_INSTANCES:
         engine = engines[exps]
         report = engine.table(-10, 10)
-        counts, _ = engine.bruteforce_table(report.max_a0 + 10, 20)
+        counts, _ = engine.bruteforce_table(*oracle_bounds(exps, True, -10, 10))
         for row in report.dimensions:
             assert row.dim == counts.get(row.degree, 0), (exps, row.degree)
 

@@ -201,7 +201,8 @@ def test_ambiguous_grading_exit_code(capsys):
 
 
 @pytest.mark.parametrize("command", ["hh", "group"])
-@pytest.mark.parametrize("instance", [["1000,1000,1000"], ["2,2,101,103,107,109", "--stabilize"]])
+@pytest.mark.parametrize("instance", [["1000,1000,1000"], ["2,2,101,103,107,109", "--stabilize"],
+                                      ["10,10,10,10,10,10", "--stabilize"]])
 def test_over_budget_fails_fast(command, instance, capsys):
     started = time.perf_counter()
     code, out = invoke(command, "--exponents", *instance)
@@ -212,12 +213,17 @@ def test_over_budget_fails_fast(command, instance, capsys):
 
 @pytest.mark.parametrize("command", ["hh", "oracle"])
 def test_wide_degree_window_fails_fast(command, capsys):
-    started = time.perf_counter()
-    code, out = invoke(command, "--exponents", "2,3",
-                       "--k-min", "-100000000", "--k-max", "100000000")
-    assert time.perf_counter() - started < 1.0
-    assert code == 4 and out == ""
-    assert capsys.readouterr().err.startswith("Budget: ")
+    for argv in [
+        ("--exponents", "2,3", "--k-min", "-100000000", "--k-max", "100000000"),
+        # 4096 strata over 10^4 degrees: within the degree budget, over the
+        # stratum-degree budget
+        ("--exponents", ",".join(["2"] * 12), "--stabilize", "--k-min", "-5000", "--k-max", "4999"),
+    ]:
+        started = time.perf_counter()
+        code, out = invoke(command, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 4 and out == ""
+        assert capsys.readouterr().err.startswith("Budget: ")
 
 
 @pytest.mark.parametrize("bounds", [

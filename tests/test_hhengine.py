@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mfhh.charlat import AmbiguousGradingError
@@ -144,9 +146,23 @@ def test_range_223_with_oracle_middle_degree():
 def test_oracle_equivalence(exps):
     engine = HochschildEngine(DiagonalPolynomial(exps, True))
     report = engine.table(-10, 10)
-    counts, _ = engine.bruteforce_table(report.max_a0 + 10, 20)
+    counts, _ = engine.bruteforce_table(*oracle_bounds(exps, True, -10, 10))
     for row in report.dimensions:
         assert counts.get(row.degree, 0) == row.dim
+
+
+def test_oracle_does_not_read_the_strata():
+    """A wrong stratum changes the engine's table but not the oracle."""
+    exps = (2, 2, 3, 5)
+    bounds = oracle_bounds(exps, True, -6, 6)
+    engine = HochschildEngine(DiagonalPolynomial(exps, True))
+    table, oracle = engine.table(-6, 6), engine.bruteforce_table(*bounds)
+    zero = engine.lattice.zero_weight()
+    broken = HochschildEngine(DiagonalPolynomial(exps, True))
+    broken._strata = {m: dataclasses.replace(info, dual_weight=zero)
+                      for m, info in broken._strata.items()}
+    assert broken.table(-6, 6).dimensions != table.dimensions
+    assert broken.bruteforce_table(*bounds) == oracle
 
 
 @pytest.mark.parametrize("exps", [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7), (2, 2, 5, 7, 11, 13)])
