@@ -194,7 +194,9 @@ def _print_hh_table(report: HHReport, engine: HochschildEngine, out):
 
 def cmd_hh(args, out) -> int:
     engine = HochschildEngine(DiagonalPolynomial(args.exponents, args.stabilize))
-    report = engine.table(args.k_min, args.k_max, witnesses=args.witnesses)
+    # csv prints no witnesses, so it never asks for them.
+    report = engine.table(args.k_min, args.k_max,
+                          witnesses=args.witnesses and args.fmt != "csv")
     if args.fmt == "json":
         kernel = engine.kernel if args.witnesses else None
         print(canonical_json(_hh_payload(report, kernel)), file=out)

@@ -38,8 +38,8 @@ dimension tables therefore never enumerate ker(chi); witnesses do, to name
 each gamma.
 
 Within a stratum each degree and summand costs one lookup.  The Jacobi
-basis of each fixed-variable set is built once and indexed on first use,
-with offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
+basis of each fixed-variable set is built and indexed per call, on first
+use, with offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
 
 * a stratum moving z_0 (every stratum when unstabilized) indexes the basis
   by weight and looks up u * chi - offset;
@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from mfhh.charlat import (
@@ -192,9 +192,9 @@ def oracle_bounds(exponents: Sequence[int], stabilized: bool,
 
 
 class HochschildEngine:
-    """Shared setup (lattice, strata, Jacobi bases) for computing many
-    degrees of one polynomial.  Immutable after construction, apart from
-    caches."""
+    """Shared setup (lattice, strata) for computing many degrees of one
+    polynomial.  Immutable after construction, apart from the lazily
+    enumerated ``kernel``."""
 
     def __init__(self, polynomial: DiagonalPolynomial):
         self.polynomial = polynomial
@@ -219,25 +219,16 @@ class HochschildEngine:
                 fixed_poly=all_poly - moving,
                 dual_weight=dual,
             )
-        self._basis_cache: dict[frozenset[int], tuple[JacobiBasisElement, ...]] = {}
-        # Per fixed-variable set, built on first use: the basis bucketed by
-        # weight (strata moving z_0) or by free coordinate mod |chi_0.free|
-        # (strata fixing it).
-        self._by_weight: dict[frozenset[int], dict[Weight, list[JacobiBasisElement]]] = {}
-        self._by_free: dict[frozenset[int], dict[int, list[JacobiBasisElement]]] = {}
 
     @cached_property
     def kernel(self) -> tuple[GroupElement, ...]:
         """Every element of ker(chi); enumerated on first use only."""
         return self.lattice.enumerate_ker_chi()
 
-    def _basis(self, fixed_poly: frozenset[int]) -> tuple[JacobiBasisElement, ...]:
-        cached = self._basis_cache.get(fixed_poly)
-        if cached is None:
-            exps = {i: self.polynomial.exponent_of(i) for i in fixed_poly}
-            cached = tuple(jacobi_basis(self.lattice, exps))
-            self._basis_cache[fixed_poly] = cached
-        return cached
+    def _basis(self, fixed_poly: frozenset[int]) -> list[JacobiBasisElement]:
+        """The Jacobi basis on ``fixed_poly``, built afresh on every call."""
+        return jacobi_basis(
+            self.lattice, {i: self.polynomial.exponent_of(i) for i in fixed_poly})
 
     def _witness(self, gi: int, summand: str, elem: JacobiBasisElement,
                  a0: int, u: int, k: int) -> HHContribution:
@@ -255,32 +246,32 @@ class HochschildEngine:
                 f"stabilizer degree is torsion for exponents {self.polynomial.exponents}")
         return f0
 
-    def _index_by_weight(self, fixed_poly: frozenset[int]):
-        """The Jacobi basis on ``fixed_poly``, bucketed by weight."""
-        index = self._by_weight.get(fixed_poly)
-        if index is None:
-            index = self._by_weight[fixed_poly] = {}
-            for elem in self._basis(fixed_poly):
-                index.setdefault(elem.weight, []).append(elem)
-        return index
-
-    def _index_by_free(self, fixed_poly: frozenset[int]):
-        """The Jacobi basis on ``fixed_poly``, bucketed by the free
-        coordinate of the weight modulo |chi_0.free|."""
-        index = self._by_free.get(fixed_poly)
-        if index is None:
-            f0 = abs(self._chi0_free())
-            index = self._by_free[fixed_poly] = {}
-            for elem in self._basis(fixed_poly):
-                index.setdefault(elem.weight.free % f0, []).append(elem)
-        return index
-
     def _count(self, ks: Sequence[int], want_witnesses: bool) -> list[DegreeDimension]:
         """Rows for the degrees in ``ks``: each stratum is counted once per
         degree and summand by one index lookup, and weighted by its
-        multiplicity."""
+        multiplicity.  Bases and indexes live for this call only."""
         lat = self.lattice
         chi = lat.chi
+        basis = cache(self._basis)
+
+        @cache
+        def by_weight(fixed_poly: frozenset[int]):
+            """The basis on ``fixed_poly`` bucketed by weight."""
+            buckets = {}
+            for elem in basis(fixed_poly):
+                buckets.setdefault(elem.weight, []).append(elem)
+            return buckets
+
+        @cache
+        def by_free(fixed_poly: frozenset[int]):
+            """The basis on ``fixed_poly`` bucketed by the free coordinate of
+            the weight modulo |chi_0.free|."""
+            f0 = abs(self._chi0_free())
+            buckets = {}
+            for elem in basis(fixed_poly):
+                buckets.setdefault(elem.weight.free % f0, []).append(elem)
+            return buckets
+
         counts = {k: 0 for k in ks}
         max_a0 = {k: 0 for k in ks}
         accepted = {}  # moving set -> [(k, summand, elem, a0, u)]
@@ -297,18 +288,18 @@ class HochschildEngine:
                     u = num // 2
                     target = chi.scaled(u)
                     if info.z0_fixed:
-                        index = self._index_by_free(info.fixed_poly)
+                        buckets = by_free(info.fixed_poly)
                         key = (target.free - offset.free) % abs(self._chi0.free)
                         hits = []
-                        for elem in index.get(key, ()):
+                        for elem in buckets.get(key, ()):
                             a0 = lat.solve_a0(u, elem.weight + offset)
                             if a0 is not None:
                                 hits.append((elem, a0))
                                 if a0 > max_a0[k]:
                                     max_a0[k] = a0
                     else:
-                        index = self._index_by_weight(info.fixed_poly)
-                        hits = [(elem, 0) for elem in index.get(target - offset, ())]
+                        hits = [(elem, 0)
+                                for elem in by_weight(info.fixed_poly).get(target - offset, ())]
                     counts[k] += info.multiplicity * len(hits)
                     if want_witnesses:
                         found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
@@ -383,6 +374,7 @@ class HochschildEngine:
             f0, t0 = self._chi0_free(), self._chi0.torsion
         counts: dict[int, int] = {}
         max_a0 = 0
+        basis = cache(self._basis)
         duals: dict[frozenset[int], Weight] = {}
         for gamma in self.kernel:
             # Everything below comes from gamma itself, not from the
@@ -392,7 +384,7 @@ class HochschildEngine:
             dual = duals.get(gamma.moving)
             if dual is None:
                 dual = duals[gamma.moving] = lat.weight_of_monomial({}, duals=gamma.moving)
-            for elem in self._basis(gamma.fixed - {0}):
+            for elem in basis(gamma.fixed - {0}):
                 base = elem.weight + dual
                 for shift in (0, 1):
                     if shift and not z0_fixed:
@@ -487,10 +479,10 @@ def verify_proposition(p: DiagonalPolynomial) -> PropositionReport:
     k3 = odd[0]
     n = p.num_vars - 1
     mu = milnor_number(p)
-    engine = HochschildEngine(p)
+    report = HochschildEngine(p).table(0, n)
     checks = (
-        PropositionCheck("dim HH^0", 0, engine.dimension(0).dim, k3 - 1),
-        PropositionCheck(f"dim HH^{n}", n, engine.dimension(n).dim, mu),
+        PropositionCheck("dim HH^0", 0, report.dimension(0).dim, k3 - 1),
+        PropositionCheck(f"dim HH^{n}", n, report.dimension(n).dim, mu),
     )
     status = "pass" if all(c.computed == c.expected for c in checks) else "mismatch"
     return PropositionReport(status, (), checks)

@@ -269,8 +269,8 @@ def test_plain_hh_never_enumerates_the_kernel(monkeypatch):
         raise AssertionError("enumerated ker chi")
 
     monkeypatch.setattr(CharacterLattice, "enumerate_ker_chi", refuse)
-    for fmt in ("json", "table", "csv"):
-        code, out = invoke("hh", "--exponents", "2,2,3,5,7", "--stabilize", "--format", fmt)
+    for args in (["json"], ["table"], ["csv"], ["csv", "--witnesses"]):
+        code, out = invoke("hh", "--exponents", "2,2,3,5,7", "--stabilize", "--format", *args)
         assert code == 0 and out
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 
 import pytest
 
+import mfhh.hhengine
 from mfhh.charlat import AmbiguousGradingError
 from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis, milnor_number
 from mfhh.hhengine import (
@@ -198,14 +200,49 @@ def test_oracle_report_shape(engine2235):
 
 @pytest.mark.parametrize("exps", [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7), (2, 2, 5, 7, 11, 13)])
 def test_table_rows_equal_single_degrees(exps):
-    """One engine answers degree by degree, another the whole window, so
-    each reuses its basis indexes across degrees and summands in a
-    different order."""
+    """One engine answers the whole window in one call, another degree by
+    degree, building its bases afresh for each degree; the rows agree."""
     p = DiagonalPolynomial(exps, True)
     table = HochschildEngine(p).table(-10, 10)
     single = HochschildEngine(p)
     for row in table.dimensions:
         assert single.dimension(row.degree) == row
+
+
+def _state(engine):
+    """The engine's attributes apart from the lazily enumerated kernel, with
+    dict values copied so that later mutation shows."""
+    return {name: dict(value) if isinstance(value, dict) else value
+            for name, value in vars(engine).items() if name != "kernel"}
+
+
+def test_engine_keeps_no_state():
+    exps = (2, 2, 3, 5)
+    bounds = oracle_bounds(exps, True, -4, 4)
+    engine = HochschildEngine(DiagonalPolynomial(exps, True))
+    before = _state(engine)
+    engine.table(-4, 4)
+    engine.dimension(3, witnesses=True)
+    engine.bruteforce_table(*bounds)
+    engine.bruteforce_report(-4, 4, *bounds)
+    assert _state(engine) == before
+
+
+def test_each_basis_is_built_once_per_call(monkeypatch):
+    """verify counts degrees 0 to n in one table call.  On 2,3,3 one fixed set
+    serves both a stratum fixing z_0 and one moving it."""
+    built = []
+
+    def counting(lat, exponents):
+        built.append(frozenset(exponents))
+        return jacobi_basis(lat, exponents)
+
+    monkeypatch.setattr(mfhh.hhengine, "jacobi_basis", counting)
+    assert verify_proposition(DiagonalPolynomial((2, 2, 3, 5), True)).passed
+    assert built and len(built) == len(set(built))
+    built.clear()
+    HochschildEngine(DiagonalPolynomial((2, 3, 3), True)).table(-4, 4)
+    assert built and len(built) == len(set(built))
 
 
 # -- unstabilized sanity -----------------------------------------------------------
@@ -254,6 +291,35 @@ def test_proposition_passes():
     assert report.status == "pass" and report.passed
     assert [(c.degree, c.computed, c.expected) for c in report.checks] == [
         (0, 2, 2), (3, 8, 8)]
+
+
+def test_closed_forms_over_the_double_suspension_family():
+    """HH^0 = min(p) - 1 and HH^n = mu for xy + p(z), with p every
+    Brieskorn-Pham polynomial of 1-3 exponents in 2..9 (164 instances)."""
+    failures = []
+    for size in (1, 2, 3):
+        for p in itertools.combinations_with_replacement(range(2, 10), size):
+            poly = DiagonalPolynomial((2, 2) + p, True)
+            n = poly.num_vars - 1
+            report = HochschildEngine(poly).table(0, n)
+            got = (report.dimension(0).dim, report.dimension(n).dim)
+            if got != (min(p) - 1, milnor_number(poly)):
+                failures.append((p, got))
+    assert failures == []
+
+
+@pytest.mark.parametrize("exps,dims", [
+    ((2, 3), {0: 1, 1: 3}),  # mu = 2
+    ((3,), {0: 3}),
+    ((2, 3, 3), {0: 4}),
+])
+def test_closed_forms_fail_without_the_quadratic_pair(exps, dims):
+    """Stabilized instances without the pair {2, 2}, confirmed by the oracle."""
+    engine = HochschildEngine(DiagonalPolynomial(exps, True))
+    report = engine.table(min(dims), max(dims))
+    counts, _ = engine.bruteforce_table(*oracle_bounds(exps, True, min(dims), max(dims)))
+    for k, dim in dims.items():
+        assert report.dimension(k).dim == counts.get(k, 0) == dim
 
 
 def test_proposition_rejects_nonprime():
