@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from mfhh.intlat import IntMatrix, cokernel, checked, smith_normal_form
 
@@ -38,8 +37,7 @@ class AmbiguousGradingError(ValueError):
     powers of z_0 cannot be solved from the free coordinate."""
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(namedtuple("Weight", "free torsion mods")):
     """A lattice element in canonical coordinates.
 
     ``free`` is the coordinate along the unique infinite direction;
@@ -47,9 +45,7 @@ class Weight:
     equal iff their coordinates agree componentwise.
     """
 
-    free: int
-    torsion: tuple[int, ...]
-    mods: tuple[int, ...]
+    __slots__ = ()
 
     def _require_same_lattice(self, other: Weight) -> None:
         if self.mods != other.mods:
@@ -72,19 +68,22 @@ class Weight:
                       tuple((a * n) % m for a, m in zip(self.torsion, self.mods)),
                       self.mods)
 
+    def __mul__(self, other):
+        # A tuple would repeat itself; a weight is scaled only by scaled().
+        return NotImplemented
+
+    __rmul__ = __mul__
+
     def is_zero(self) -> bool:
         return self.free == 0 and not any(self.torsion)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of ker(chi), stored as one rational phase in [0, 1) per
-    variable (z_0 first when present).  ``fixed`` / ``moving`` partition the
-    variable indices according to whether the phase vanishes."""
+class GroupElement(namedtuple("GroupElement", "phases fixed moving")):
+    """An element of ker(chi), stored as one rational phase (a Fraction) in
+    [0, 1) per variable (z_0 first when present).  ``fixed`` / ``moving``
+    are the frozensets of variable indices whose phase is / is not zero."""
 
-    phases: tuple[Fraction, ...]
-    fixed: frozenset[int]
-    moving: frozenset[int]
+    __slots__ = ()
 
 
 class CharacterLattice:
@@ -250,6 +249,8 @@ class CharacterLattice:
         q_0 = -sum(q_i) mod 1.  Order: lexicographic in the numerator
         tuple (n_1, ..., n_N) of q_i = n_i / k_i.
         """
+        from fractions import Fraction  # here, so importing mfhh loads no fractions/decimal
+
         elements = []
         for nums in itertools.product(*(range(k) for k in self.exponents)):
             phases = [Fraction(n, k) for n, k in zip(nums, self.exponents)]

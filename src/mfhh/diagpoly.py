@@ -9,27 +9,28 @@ cohomology bookkeeping downstream concentrated in a single Koszul degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
-from mfhh.charlat import CharacterLattice, Weight
-from mfhh.intlat import checked
+from mfhh.charlat import CharacterLattice
+from mfhh.intlat import checked, validated_make
 
 
-@dataclass(frozen=True)
-class DiagonalPolynomial:
+class DiagonalPolynomial(namedtuple("DiagonalPolynomial", "exponents stabilized")):
     """sum(z_i^{k_i}) for i = 1..N, optionally stabilized by an extra
     variable z_0 (which never appears in the polynomial itself)."""
 
-    exponents: tuple[int, ...]
-    stabilized: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(int(k) for k in self.exponents))
-        if not self.exponents:
+    def __new__(cls, exponents: Iterable[int], stabilized: bool = False) -> DiagonalPolynomial:
+        exponents = tuple(int(k) for k in exponents)
+        if not exponents:
             raise ValueError("need at least one exponent")
-        if any(k < 2 for k in self.exponents):
+        if any(k < 2 for k in exponents):
             raise ValueError("every exponent must be >= 2")
+        return super().__new__(cls, exponents, stabilized)
+
+    _make = classmethod(validated_make)
 
     @property
     def num_vars(self) -> int:
@@ -48,13 +49,11 @@ class DiagonalPolynomial:
         return self.exponents[i - 1]
 
 
-@dataclass(frozen=True)
-class JacobiBasisElement:
+class JacobiBasisElement(namedtuple("JacobiBasisElement", "exponents weight")):
     """A monomial basis element of a Jacobi ring: exponents (var, power)
     with 0 <= power <= k_var - 2, together with its canonical weight."""
 
-    exponents: tuple[tuple[int, int], ...]
-    weight: Weight
+    __slots__ = ()
 
     def exponent_map(self) -> dict[int, int]:
         return dict(self.exponents)

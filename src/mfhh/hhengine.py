@@ -58,10 +58,9 @@ consulting the engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cache, cached_property
-from typing import Sequence
 
 from mfhh.charlat import (
     AmbiguousGradingError,
@@ -107,44 +106,31 @@ def _check_degree_window(k_min: int, k_max: int) -> None:
             f" more than the degree budget {DEGREE_BUDGET}")
 
 
-@dataclass(frozen=True)
-class HHContribution:
+class HHContribution(namedtuple("HHContribution", "gamma_index summand exponents u degree")):
     """One basis contribution: which group element, which summand parity,
     the full monomial exponent vector (aligned with the polynomial's
     variable order, stabilizer first when present), and the chi-multiple u
     realizing the weight condition in degree ``degree``."""
 
-    gamma_index: int
-    summand: str
-    exponents: tuple[int, ...]
-    u: int
-    degree: int
+    __slots__ = ()
 
     def sort_key(self):
         return (self.gamma_index, self.summand, self.exponents)
 
 
-@dataclass(frozen=True)
-class DegreeDimension:
-    degree: int
-    dim: int
-    witnesses: tuple[HHContribution, ...] | None
-    max_a0: int
+class DegreeDimension(namedtuple("DegreeDimension", "degree dim witnesses max_a0")):
+    """One row of a table: its sorted witnesses (None when not asked for)
+    and the largest stabilizer power a_0 it accepted."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HHReport:
-    """Per-degree dimension table with the bookkeeping tests lean on."""
+class HHReport(namedtuple("HHReport", "exponents stabilized kerchi_order milnor k_min k_max"
+                                       " dimensions max_a0 engine")):
+    """Per-degree dimension table with the bookkeeping tests lean on;
+    ``engine`` is "closed-form" or "oracle"."""
 
-    exponents: tuple[int, ...]
-    stabilized: bool
-    kerchi_order: int
-    milnor: int
-    k_min: int
-    k_max: int
-    dimensions: tuple[DegreeDimension, ...]
-    max_a0: int
-    engine: str  # "closed-form" | "oracle"
+    __slots__ = ()
 
     def dimension(self, k: int) -> DegreeDimension:
         if not self.k_min <= k <= self.k_max:
@@ -152,15 +138,12 @@ class HHReport:
         return self.dimensions[k - self.k_min]
 
 
-@dataclass(frozen=True)
-class _Stratum:
-    """What a group element's contribution depends on, given its moving set."""
+class _Stratum(namedtuple("_Stratum", "multiplicity moving_count z0_fixed fixed_poly dual_weight")):
+    """What a group element's contribution depends on, given its moving set:
+    ``multiplicity`` elements of ker(chi) share it, and ``dual_weight`` is
+    -sum(chi_j) over the moving variables."""
 
-    multiplicity: int  # elements of ker(chi) with this moving set
-    moving_count: int
-    z0_fixed: bool
-    fixed_poly: frozenset[int]
-    dual_weight: Weight  # -sum(chi_j) over the moving variables
+    __slots__ = ()
 
 
 def oracle_bounds(exponents: Sequence[int], stabilized: bool,
@@ -184,6 +167,8 @@ def oracle_bounds(exponents: Sequence[int], stabilized: bool,
     u_bound = (max(abs(k_min), abs(k_max)) + n + 2) // 2
     if not stabilized:
         return 0, u_bound
+    from fractions import Fraction  # here, so importing mfhh loads no fractions/decimal
+
     q0 = abs(1 - sum(Fraction(1, k) for k in exponents))
     if q0 == 0:
         raise AmbiguousGradingError(
@@ -421,19 +406,14 @@ class HochschildEngine:
 
 # -- closed-form predictions -------------------------------------------------
 
-@dataclass(frozen=True)
-class PropositionCheck:
-    label: str
-    degree: int
-    computed: int
-    expected: int
+class PropositionCheck(namedtuple("PropositionCheck", "label degree computed expected")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PropositionReport:
-    status: str  # "pass" | "mismatch" | "hypotheses_not_met"
-    reasons: tuple[str, ...]
-    checks: tuple[PropositionCheck, ...]
+class PropositionReport(namedtuple("PropositionReport", "status reasons checks")):
+    """``status`` is "pass", "mismatch" or "hypotheses_not_met"."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

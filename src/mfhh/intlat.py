@@ -15,9 +15,9 @@ transform matrices, not just from the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from math import prod
-from typing import Sequence
 
 ENTRY_LIMIT = 2**63 - 1
 
@@ -35,21 +35,27 @@ def checked(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+def validated_make(cls, iterable):
+    """``_make`` for a namedtuple that checks its fields in ``__new__``: the
+    stock one, which ``_replace`` calls, would skip those checks."""
+    return cls(*iterable)
+
+
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """Immutable dense integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
-        for e in self.entries:
+        for e in entries:
             checked(e)
+        return super().__new__(cls, rows, cols, entries)
+
+    _make = classmethod(validated_make)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
@@ -98,34 +104,32 @@ class IntMatrix:
                    for i in range(self.rows) for j in range(self.cols) if i != j)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):
     """U @ M @ V = D with U, V unimodular and D in Smith normal form."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(namedtuple("AbelianGroupStructure", "free_rank torsion")):
     """A finitely generated abelian group: Z^free_rank + sum of Z/d_i.
 
     The torsion list keeps only invariant factors >= 2 and they form a
     divisibility chain d_1 | d_2 | ...
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...]) -> AbelianGroupStructure:
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion is not a divisibility chain")
-        if any(d < 2 for d in self.torsion):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion factors must be >= 2")
+        return super().__new__(cls, free_rank, torsion)
+
+    _make = classmethod(validated_make)
 
     @property
     def order(self) -> int:

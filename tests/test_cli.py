@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +261,19 @@ def test_kernel_is_enumerated_once(argv, monkeypatch):
     code, out = invoke(*argv, "--exponents", "2,2,3,5", "--stabilize")
     assert code == 0 and out
     assert len(calls) == 1
+
+
+def test_import_loads_no_heavy_standard_modules():
+    """A fresh ``import mfhh, mfhh.cli`` loads nothing the hh path does not
+    run: records are named tuples, and fractions loads where phases or the
+    oracle's bounds are made."""
+    src = Path(mfhh.__file__).resolve().parent.parent
+    probe = ("import sys, mfhh, mfhh.cli; print(*sorted({'dataclasses', 'inspect',"
+             " 'fractions', 'decimal', 'typing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 def test_public_names_resolve():

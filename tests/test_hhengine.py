@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -161,7 +160,7 @@ def test_oracle_does_not_read_the_strata():
     table, oracle = engine.table(-6, 6), engine.bruteforce_table(*bounds)
     zero = engine.lattice.zero_weight()
     broken = HochschildEngine(DiagonalPolynomial(exps, True))
-    broken._strata = {m: dataclasses.replace(info, dual_weight=zero)
+    broken._strata = {m: info._replace(dual_weight=zero)
                       for m, info in broken._strata.items()}
     assert broken.table(-6, 6).dimensions != table.dimensions
     assert broken.bruteforce_table(*bounds) == oracle
