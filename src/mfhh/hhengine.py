@@ -37,9 +37,12 @@ elements keep z_0 fixed and prod(k_i - 1, i in P) - f(P) move it.  Plain
 dimension tables therefore never enumerate ker(chi); witnesses do, to name
 each gamma.
 
-Within a stratum each degree and summand costs one lookup.  The Jacobi
-basis of each fixed-variable set is built and indexed per call, on first
-use, with offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
+Within a stratum each degree and summand costs one lookup.  A Jacobi basis
+is keyed by the fixed variables of exponent >= 3: a quadratic variable
+contributes only its power 0, so fixed sets that differ only in quadratic
+variables have the same monomials and weights, and share one basis.  Each
+basis is built and indexed per call, on first use, with
+offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
 
 * a stratum moving z_0 (every stratum when unstabilized) indexes the basis
   by weight and looks up u * chi - offset;
@@ -138,9 +141,10 @@ class HHReport(namedtuple("HHReport", "exponents stabilized kerchi_order milnor 
         return self.dimensions[k - self.k_min]
 
 
-class _Stratum(namedtuple("_Stratum", "multiplicity moving_count z0_fixed fixed_poly dual_weight")):
+class _Stratum(namedtuple("_Stratum", "multiplicity moving_count z0_fixed basis_vars dual_weight")):
     """What a group element's contribution depends on, given its moving set:
-    ``multiplicity`` elements of ker(chi) share it, and ``dual_weight`` is
+    ``multiplicity`` elements of ker(chi) share it, ``basis_vars`` are the
+    fixed polynomial variables of exponent >= 3, and ``dual_weight`` is
     -sum(chi_j) over the moving variables."""
 
     __slots__ = ()
@@ -192,7 +196,10 @@ class HochschildEngine:
             polynomial.exponents, polynomial.stabilized)
         self._chi0 = self.lattice.variable_weight(0) if polynomial.stabilized else None
         self._strata: dict[frozenset[int], _Stratum] = {}
-        all_poly = frozenset(range(1, polynomial.num_vars + 1))
+        # A quadratic variable adds only its power 0 to a Jacobi basis, so
+        # bases are keyed by the variables of exponent >= 3 alone.
+        non_quadratic = frozenset(i for i in range(1, polynomial.num_vars + 1)
+                                  if polynomial.exponent_of(i) > 2)
         for moving, mult in self.lattice.moving_set_counts().items():
             dual = self.lattice.zero_weight()
             for j in moving:
@@ -201,7 +208,7 @@ class HochschildEngine:
                 multiplicity=mult,
                 moving_count=len(moving),
                 z0_fixed=polynomial.stabilized and 0 not in moving,
-                fixed_poly=all_poly - moving,
+                basis_vars=non_quadratic - moving,
                 dual_weight=dual,
             )
 
@@ -210,10 +217,10 @@ class HochschildEngine:
         """Every element of ker(chi); enumerated on first use only."""
         return self.lattice.enumerate_ker_chi()
 
-    def _basis(self, fixed_poly: frozenset[int]) -> list[JacobiBasisElement]:
-        """The Jacobi basis on ``fixed_poly``, built afresh on every call."""
+    def _basis(self, variables: frozenset[int]) -> list[JacobiBasisElement]:
+        """The Jacobi basis on ``variables``, built afresh on every call."""
         return jacobi_basis(
-            self.lattice, {i: self.polynomial.exponent_of(i) for i in fixed_poly})
+            self.lattice, {i: self.polynomial.exponent_of(i) for i in variables})
 
     def _witness(self, gi: int, summand: str, elem: JacobiBasisElement,
                  a0: int, u: int, k: int) -> HHContribution:
@@ -240,20 +247,20 @@ class HochschildEngine:
         basis = cache(self._basis)
 
         @cache
-        def by_weight(fixed_poly: frozenset[int]):
-            """The basis on ``fixed_poly`` bucketed by weight."""
+        def by_weight(variables: frozenset[int]):
+            """The basis on ``variables`` bucketed by weight."""
             buckets = {}
-            for elem in basis(fixed_poly):
+            for elem in basis(variables):
                 buckets.setdefault(elem.weight, []).append(elem)
             return buckets
 
         @cache
-        def by_free(fixed_poly: frozenset[int]):
-            """The basis on ``fixed_poly`` bucketed by the free coordinate of
+        def by_free(variables: frozenset[int]):
+            """The basis on ``variables`` bucketed by the free coordinate of
             the weight modulo |chi_0.free|."""
             f0 = abs(self._chi0_free())
             buckets = {}
-            for elem in basis(fixed_poly):
+            for elem in basis(variables):
                 buckets.setdefault(elem.weight.free % f0, []).append(elem)
             return buckets
 
@@ -273,7 +280,7 @@ class HochschildEngine:
                     u = num // 2
                     target = chi.scaled(u)
                     if info.z0_fixed:
-                        buckets = by_free(info.fixed_poly)
+                        buckets = by_free(info.basis_vars)
                         key = (target.free - offset.free) % abs(self._chi0.free)
                         hits = []
                         for elem in buckets.get(key, ()):
@@ -284,7 +291,7 @@ class HochschildEngine:
                                     max_a0[k] = a0
                     else:
                         hits = [(elem, 0)
-                                for elem in by_weight(info.fixed_poly).get(target - offset, ())]
+                                for elem in by_weight(info.basis_vars).get(target - offset, ())]
                     counts[k] += info.multiplicity * len(hits)
                     if want_witnesses:
                         found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
@@ -342,7 +349,7 @@ class HochschildEngine:
         u_count = 2 * u_bound + 1
         steps = u_count + sum(
             info.multiplicity * (2 * (a0_bound + 1) if info.z0_fixed else 1)
-            * math.prod(self.polynomial.exponent_of(i) - 1 for i in info.fixed_poly)
+            * math.prod(self.polynomial.exponent_of(i) - 1 for i in info.basis_vars)
             for info in self._strata.values())
         if u_count > DEGREE_BUDGET or steps > SCAN_BUDGET:
             raise BudgetExceededError(

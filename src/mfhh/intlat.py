@@ -122,11 +122,11 @@ class AbelianGroupStructure(namedtuple("AbelianGroupStructure", "free_rank torsi
     def __new__(cls, free_rank: int, torsion: tuple[int, ...]) -> AbelianGroupStructure:
         if free_rank < 0:
             raise ValueError("negative free rank")
+        if any(d < 2 for d in torsion):
+            raise ValueError("torsion factors must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion is not a divisibility chain")
-        if any(d < 2 for d in torsion):
-            raise ValueError("torsion factors must be >= 2")
         return super().__new__(cls, free_rank, torsion)
 
     _make = classmethod(validated_make)

@@ -67,6 +67,24 @@ def test_hh_witness_payload():
         assert all("." not in q for q in w["gamma"])  # exact fractions only
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("hh_2235_stabilized_witnesses.json",
+     ("hh", "--exponents", "2,2,3,5", "--stabilize", "--witnesses", "--format", "json")),
+    ("hh_233_stabilized_witnesses.txt",
+     ("hh", "--exponents", "2,3,3", "--stabilize", "--witnesses", "--format", "table")),
+    ("hh_223_witnesses.json",
+     ("hh", "--exponents", "2,2,3", "--witnesses", "--format", "json")),
+])
+def test_witness_reports_match_golden_files(name, argv):
+    """Witness lists, their order and their formatting, byte for byte."""
+    code, out = invoke(*argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_no_floating_point_anywhere():
     code, out = invoke("hh", "--exponents", "2,2,3,5", "--stabilize",
                        "--witnesses", "--format", "json")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -229,19 +230,66 @@ def test_engine_keeps_no_state():
 
 def test_each_basis_is_built_once_per_call(monkeypatch):
     """verify counts degrees 0 to n in one table call.  On 2,3,3 one fixed set
-    serves both a stratum fixing z_0 and one moving it."""
+    serves both a stratum fixing z_0 and one moving it.  Bases are keyed by
+    the fixed variables of exponent >= 3, so no basis holds a quadratic
+    variable, and the 16 fixed sets of 2,2,3,5 share 4 bases."""
     built = []
 
     def counting(lat, exponents):
-        built.append(frozenset(exponents))
+        built.append(tuple(sorted(exponents.items())))
         return jacobi_basis(lat, exponents)
 
     monkeypatch.setattr(mfhh.hhengine, "jacobi_basis", counting)
     assert verify_proposition(DiagonalPolynomial((2, 2, 3, 5), True)).passed
-    assert built and len(built) == len(set(built))
-    built.clear()
-    HochschildEngine(DiagonalPolynomial((2, 3, 3), True)).table(-4, 4)
-    assert built and len(built) == len(set(built))
+    assert sorted(built) == [(), ((3, 3),), ((3, 3), (4, 5)), ((4, 5),)]
+    for exps, stabilized in [((2, 3, 3), True), ((2, 2, 2), False), ((2, 2, 2, 3, 5), True),
+                             ((2, 2, 2, 3, 5), False)]:
+        built.clear()
+        HochschildEngine(DiagonalPolynomial(exps, stabilized)).table(-4, 4, witnesses=True)
+        assert built and len(built) == len(set(built))
+        assert all(k != 2 for basis in built for _, k in basis)
+
+
+# -- strata moving z_0 -----------------------------------------------------------------
+
+def _small_multisets():
+    """Every exponent multiset with N <= 4, k <= 7 and prod(k) <= 200."""
+    for size in range(1, 5):
+        for exps in itertools.combinations_with_replacement(range(2, 8), size):
+            if math.prod(exps) <= 200:
+                yield exps
+
+
+def test_only_the_identity_and_full_moving_strata_count_without_fixed_z0():
+    """The residue rule on the strata where z_0 is not a fixed variable.
+    Unstabilized, only the identity contributes, with monomial 1 in degree 0.
+    Stabilized, a gamma moving z_0 contributes only when it moves every
+    variable, with monomial 1 in the even summand at u = -1, degree n."""
+    instances = witnesses = moving_z0 = 0
+    for exps in _small_multisets():
+        for stabilized in (False, True):
+            p = DiagonalPolynomial(exps, stabilized)
+            n = p.num_vars - 1
+            engine = HochschildEngine(p)
+            try:
+                report = engine.table(-2 * n - 2, 2 * n + 2, witnesses=True)
+            except AmbiguousGradingError:
+                continue
+            instances += 1
+            unit = (0,) * len(p.variables)
+            for row in report.dimensions:
+                for w in row.witnesses:
+                    moving = engine.kernel[w.gamma_index].moving
+                    if not stabilized:
+                        assert (moving, w.exponents, w.degree, w.u) == (frozenset(), unit, 0, 0), \
+                            (exps, w)
+                    elif 0 in moving:
+                        assert len(moving) == p.num_vars + 1, (exps, w)
+                        assert (w.exponents, w.summand, w.u, w.degree) == (unit, "even", -1, n), \
+                            (exps, w)
+                        moving_z0 += 1
+                    witnesses += 1
+    assert (instances, witnesses, moving_z0) == (238, 6176, 2819)
 
 
 # -- unstabilized sanity -----------------------------------------------------------

@@ -128,6 +128,11 @@ def test_group_structure_validation():
         AbelianGroupStructure(0, (1,))
     with pytest.raises(ValueError):
         AbelianGroupStructure(-1, ())
+    # A zero factor is rejected as a factor, before the chain test divides by it.
+    with pytest.raises(ValueError):
+        AbelianGroupStructure(0, (0, 2))
+    with pytest.raises(ValueError):
+        AbelianGroupStructure(0, (0, 0))
 
 
 def test_group_order():
