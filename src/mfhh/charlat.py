@@ -217,29 +217,25 @@ class CharacterLattice:
         u = w.free // fc
         return u if w == self._chi.scaled(u) else None
 
-    def solve_a0(self, u: int, partial: Weight) -> int | None:
-        """Unique a0 >= 0 with partial + a0*chi_0 == u*chi, if any.
+    def chi0_coset(self, w: Weight) -> tuple[int, ...]:
+        """Key of w modulo integer multiples of chi_0: two weights share it
+        iff they differ by a*chi_0 for some integer a.
 
-        The free coordinate pins a0 (chi_0 is non-torsion away from the
-        degenerate sum-of-reciprocals-equal-one case); the torsion
-        coordinates are then verified in full.
+        With (f_0, t_0) the coordinates of chi_0 and q = w.free // f_0, the
+        key is the coordinates of w - q*chi_0, whose free part is w.free mod
+        f_0.  Needs f_0 != 0, which fails only in the degenerate
+        sum-of-reciprocals-equal-one case.
         """
         if not self.stabilized:
-            raise ValueError("solve_a0 requires a stabilized lattice")
-        chi0 = self._var_weight[0]
-        if chi0.free == 0:
+            raise ValueError("chi0_coset requires a stabilized lattice")
+        f0, t0 = self._var_weight[0].free, self._var_weight[0].torsion
+        if f0 == 0:
             raise AmbiguousGradingError(
                 f"stabilizer degree is torsion for exponents {self.exponents}"
             )
-        num = checked(u * self._chi.free) - partial.free
-        if num % chi0.free:
-            return None
-        a0 = num // chi0.free
-        if a0 < 0:
-            return None
-        if partial + chi0.scaled(a0) != self._chi.scaled(u):
-            return None
-        return a0
+        q = w.free // f0
+        return (w.free - q * f0,
+                *((t - q * s) % m for t, s, m in zip(w.torsion, t0, self.torsion_mods)))
 
     def enumerate_ker_chi(self) -> tuple[GroupElement, ...]:
         """All group elements with trivial chi-value, as phase vectors.

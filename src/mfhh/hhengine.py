@@ -46,11 +46,11 @@ offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
 
 * a stratum moving z_0 (every stratum when unstabilized) indexes the basis
   by weight and looks up u * chi - offset;
-* a stratum fixing z_0 indexes it by the free coordinate modulo
-  |chi_0.free| and looks up that of u * chi - offset.  A bucket holds
-  exactly the monomials for which a_0 can be integral, and each is checked
-  by solving for a_0 exactly from the free coordinate of the weight lattice,
-  torsion coordinates included.
+* a stratum fixing z_0 indexes it by the weight modulo integer multiples
+  of chi_0 (``CharacterLattice.chi0_coset``) and looks up the coset of
+  target = u * chi - offset.  Every monomial in that bucket has weight
+  + a_0 * chi_0 == target, torsion coordinates included, for the integer
+  a_0 = (target.free - weight.free) / chi_0.free, and counts iff a_0 >= 0.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of
 ker(chi) and rescans a_0 and u over finite windows; it must agree whenever
@@ -255,13 +255,11 @@ class HochschildEngine:
             return buckets
 
         @cache
-        def by_free(variables: frozenset[int]):
-            """The basis on ``variables`` bucketed by the free coordinate of
-            the weight modulo |chi_0.free|."""
-            f0 = abs(self._chi0_free())
+        def by_coset(variables: frozenset[int]):
+            """The basis on ``variables`` bucketed by weight modulo chi_0."""
             buckets = {}
             for elem in basis(variables):
-                buckets.setdefault(elem.weight.free % f0, []).append(elem)
+                buckets.setdefault(lat.chi0_coset(elem.weight), []).append(elem)
             return buckets
 
         counts = {k: 0 for k in ks}
@@ -278,20 +276,18 @@ class HochschildEngine:
                     if num % 2:
                         continue
                     u = num // 2
-                    target = chi.scaled(u)
+                    target = chi.scaled(u) - offset
                     if info.z0_fixed:
-                        buckets = by_free(info.basis_vars)
-                        key = (target.free - offset.free) % abs(self._chi0.free)
+                        key = lat.chi0_coset(target)
                         hits = []
-                        for elem in buckets.get(key, ()):
-                            a0 = lat.solve_a0(u, elem.weight + offset)
-                            if a0 is not None:
+                        for elem in by_coset(info.basis_vars).get(key, ()):
+                            a0 = (target.free - elem.weight.free) // self._chi0.free
+                            if a0 >= 0:
                                 hits.append((elem, a0))
                                 if a0 > max_a0[k]:
                                     max_a0[k] = a0
                     else:
-                        hits = [(elem, 0)
-                                for elem in by_weight(info.basis_vars).get(target - offset, ())]
+                        hits = [(elem, 0) for elem in by_weight(info.basis_vars).get(target, ())]
                     counts[k] += info.multiplicity * len(hits)
                     if want_witnesses:
                         found.extend((k, summand, elem, a0, u) for elem, a0 in hits)

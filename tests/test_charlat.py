@@ -119,55 +119,70 @@ def brute_a0(lat, u, partial, bound=1000):
     return None
 
 
-def test_solve_a0_zero(lat2235):
-    assert lat2235.solve_a0(0, lat2235.zero_weight()) == 0
+def coset_a0(lat, u, partial):
+    """The a0 >= 0 with partial + a0*chi_0 == u*chi, read off chi0_coset."""
+    target = lat.chi.scaled(u)
+    if lat.chi0_coset(partial) != lat.chi0_coset(target):
+        return None
+    a0, rest = divmod(target.free - partial.free, lat.variable_weight(0).free)
+    assert rest == 0
+    return a0 if a0 >= 0 else None
 
 
-def test_solve_a0_square_monomial(lat2235):
+def test_chi0_coset_zero(lat2235):
+    assert coset_a0(lat2235, 0, lat2235.zero_weight()) == 0
+
+
+def test_chi0_coset_square_monomial(lat2235):
     # weight of z3^2 z4^2 needs exactly z0^2 to reach total degree zero
     partial = lat2235.weight_of_monomial({3: 2, 4: 2})
-    assert lat2235.solve_a0(0, partial) == 2
+    assert coset_a0(lat2235, 0, partial) == 2
     assert brute_a0(lat2235, 0, partial) == 2
 
 
-def test_solve_a0_negative_solution_is_none(lat2235):
-    assert lat2235.solve_a0(5, lat2235.zero_weight()) is None
+def test_chi0_coset_negative_solution_is_none(lat2235):
+    assert coset_a0(lat2235, 5, lat2235.zero_weight()) is None
     assert brute_a0(lat2235, 5, lat2235.zero_weight(), bound=100) is None
 
 
-def test_solve_a0_torsion_rejection(lat2235):
+def test_chi0_coset_torsion_rejection(lat2235):
     # z3 z4: the free coordinate alone would admit a0 = 1, but the torsion
-    # coordinate does not match, so there is no solution.
+    # coordinate does not match, so the cosets differ.
     partial = lat2235.weight_of_monomial({3: 1, 4: 1})
     chi0 = lat2235.variable_weight(0)
     assert (partial.free + 1 * chi0.free) == 0 == lat2235.chi.scaled(0).free
-    assert lat2235.solve_a0(0, partial) is None
+    assert lat2235.chi0_coset(partial) != lat2235.chi0_coset(lat2235.zero_weight())
+    assert coset_a0(lat2235, 0, partial) is None
     assert brute_a0(lat2235, 0, partial) is None
 
 
-def test_solve_a0_agrees_with_brute_scan():
+def test_chi0_coset_agrees_with_brute_scan():
+    # chi_0.free is -2, 16 and -142 on these lattices
     for exps in [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7)]:
         lat = build_character_lattice(exps, True)
+        chi0 = lat.variable_weight(0)
         n = len(exps)
         samples = [{}, {1: 1}, {3: 1}, {3: 2}, {1: 1, 2: 1, 3: 1},
                    {i: 1 for i in range(1, n + 1)}]
-        for u in range(-4, 5):
-            for sample in samples:
-                partial = lat.weight_of_monomial(sample)
-                assert lat.solve_a0(u, partial) == brute_a0(lat, u, partial)
+        for sample in samples:
+            partial = lat.weight_of_monomial(sample)
+            for a in range(-3, 4):
+                assert lat.chi0_coset(partial + chi0.scaled(a)) == lat.chi0_coset(partial)
+            for u in range(-4, 5):
+                assert coset_a0(lat, u, partial) == brute_a0(lat, u, partial)
 
 
-def test_solve_a0_requires_stabilizer():
+def test_chi0_coset_requires_stabilizer():
     lat = build_character_lattice((2, 2, 3, 5), False)
     with pytest.raises(ValueError):
-        lat.solve_a0(0, lat.zero_weight())
+        lat.chi0_coset(lat.zero_weight())
 
 
 def test_reciprocal_sum_one_is_ambiguous():
     lat = build_character_lattice((2, 3, 6), True)
     assert lat.variable_weight(0).free == 0
     with pytest.raises(AmbiguousGradingError):
-        lat.solve_a0(0, lat.zero_weight())
+        lat.chi0_coset(lat.zero_weight())
 
 
 def test_stabilizer_free_coordinate_tracks_reciprocal_sum():

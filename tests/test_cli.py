@@ -77,12 +77,36 @@ GOLDEN = Path(__file__).parent / "data"
      ("hh", "--exponents", "2,3,3", "--stabilize", "--witnesses", "--format", "table")),
     ("hh_223_witnesses.json",
      ("hh", "--exponents", "2,2,3", "--witnesses", "--format", "json")),
+    # chi_0.free = 1: every monomial shares one chi_0-coset; a_0 reaches 168
+    ("hh_237_stabilized_witnesses.json",
+     ("hh", "--exponents", "2,3,7", "--stabilize", "--k-min", "-8", "--k-max", "8",
+      "--witnesses", "--format", "json")),
+    # chi_0.free = 2, with torsion
+    ("hh_3344_stabilized_witnesses.json",
+     ("hh", "--exponents", "3,3,4,4", "--stabilize", "--k-min", "-10", "--k-max", "10",
+      "--witnesses", "--format", "json")),
+    # chi_0.free = -4: coset keys floor-divide by a negative divisor
+    ("hh_446_stabilized_witnesses.txt",
+     ("hh", "--exponents", "4,4,6", "--stabilize", "--k-min", "-8", "--k-max", "8",
+      "--witnesses", "--format", "table")),
 ])
 def test_witness_reports_match_golden_files(name, argv):
     """Witness lists, their order and their formatting, byte for byte."""
     code, out = invoke(*argv)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_wide_window_on_few_large_exponents_is_fast():
+    """Strata that fix z_0 look up exact chi_0-cosets, so a wide window on
+    few large exponents stays cheap; the stored csv is the earlier engine's."""
+    started = time.perf_counter()
+    code, out = invoke("hh", "--exponents", "10,10,10,10,10", "--stabilize",
+                       "--k-min", "-200", "--k-max", "199", "--format", "csv")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert out.encode() == (GOLDEN / "hh_10x5_stabilized_wide.csv").read_bytes()
+    assert elapsed < 15.0, f"took {elapsed:.1f}s"
 
 
 def test_no_floating_point_anywhere():
