@@ -187,12 +187,10 @@ class CharacterLattice:
     # -- weight operations --------------------------------------------------
 
     def weight_of_monomial(self, exponents: Mapping[int, int],
-                           duals: Iterable[int] = (),
-                           include_z0_dual: bool = False) -> Weight:
+                           duals: Iterable[int] = ()) -> Weight:
         """Canonical form of sum(a_i * chi_i) - sum(chi_j over duals).
 
-        ``duals`` is a multiset of variable indices contributing -chi_j each;
-        ``include_z0_dual`` subtracts one extra chi_0.
+        ``duals`` is a multiset of variable indices contributing -chi_j each.
         """
         w = self._zero
         for i, a in exponents.items():
@@ -202,8 +200,6 @@ class CharacterLattice:
                 w = w + self.variable_weight(i).scaled(a)
         for j in duals:
             w = w - self.variable_weight(j)
-        if include_z0_dual:
-            w = w - self.variable_weight(0)
         return w
 
     def is_multiple_of_chi(self, w: Weight) -> int | None:

@@ -18,8 +18,8 @@ error name goes to stderr).  Budget is checked before anything is
 enumerated: every subcommand that builds the engine (all but ``milnor``)
 refuses instances with prod(k_i) = |ker chi| above 10^5; ``hh`` and
 ``oracle`` refuse degree windows of more than 10^4 degrees, and windows
-whose degrees times moving-set strata exceed 2*10^6 (checked once the
-strata are built); ``oracle`` refuses scan windows (given or derived) of
+whose degrees times moving-set strata exceed 2*10^6 (checked before any
+stratum is built); ``oracle`` refuses scan windows (given or derived) of
 more than 10^4 chi-multiples or 10^7 weight lookups.  These bound the size
 of every enumeration and scan, not its time.
 

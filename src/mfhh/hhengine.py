@@ -35,7 +35,8 @@ unstabilized; stabilized, with P the moving polynomial variables,
 
 elements keep z_0 fixed and prod(k_i - 1, i in P) - f(P) move it.  Plain
 dimension tables therefore never enumerate ker(chi); witnesses do, to name
-each gamma.
+each gamma.  Each ``table`` or ``dimension`` call lists the strata after
+its budgets are checked; the engine keeps none of them.
 
 Within a stratum each degree and summand costs one lookup.  A Jacobi basis
 is keyed by the fixed variables of exponent >= 3: a quadratic variable
@@ -121,9 +122,9 @@ class HHContribution(namedtuple("HHContribution", "gamma_index summand exponents
         return (self.gamma_index, self.summand, self.exponents)
 
 
-class DegreeDimension(namedtuple("DegreeDimension", "degree dim witnesses max_a0")):
-    """One row of a table: its sorted witnesses (None when not asked for)
-    and the largest stabilizer power a_0 it accepted."""
+class DegreeDimension(namedtuple("DegreeDimension", "degree dim witnesses")):
+    """One row of a table, with its sorted witnesses (None when not asked
+    for)."""
 
     __slots__ = ()
 
@@ -139,15 +140,6 @@ class HHReport(namedtuple("HHReport", "exponents stabilized kerchi_order milnor 
         if not self.k_min <= k <= self.k_max:
             raise KeyError(k)
         return self.dimensions[k - self.k_min]
-
-
-class _Stratum(namedtuple("_Stratum", "multiplicity moving_count z0_fixed basis_vars dual_weight")):
-    """What a group element's contribution depends on, given its moving set:
-    ``multiplicity`` elements of ker(chi) share it, ``basis_vars`` are the
-    fixed polynomial variables of exponent >= 3, and ``dual_weight`` is
-    -sum(chi_j) over the moving variables."""
-
-    __slots__ = ()
 
 
 def oracle_bounds(exponents: Sequence[int], stabilized: bool,
@@ -181,7 +173,7 @@ def oracle_bounds(exponents: Sequence[int], stabilized: bool,
 
 
 class HochschildEngine:
-    """Shared setup (lattice, strata) for computing many degrees of one
+    """Shared setup (lattice) for computing many degrees of one
     polynomial.  Immutable after construction, apart from the lazily
     enumerated ``kernel``."""
 
@@ -194,23 +186,6 @@ class HochschildEngine:
                 f" budget {ELEMENT_BUDGET}")
         self.lattice: CharacterLattice = build_character_lattice(
             polynomial.exponents, polynomial.stabilized)
-        self._chi0 = self.lattice.variable_weight(0) if polynomial.stabilized else None
-        self._strata: dict[frozenset[int], _Stratum] = {}
-        # A quadratic variable adds only its power 0 to a Jacobi basis, so
-        # bases are keyed by the variables of exponent >= 3 alone.
-        non_quadratic = frozenset(i for i in range(1, polynomial.num_vars + 1)
-                                  if polynomial.exponent_of(i) > 2)
-        for moving, mult in self.lattice.moving_set_counts().items():
-            dual = self.lattice.zero_weight()
-            for j in moving:
-                dual = dual - self.lattice.variable_weight(j)
-            self._strata[moving] = _Stratum(
-                multiplicity=mult,
-                moving_count=len(moving),
-                z0_fixed=polynomial.stabilized and 0 not in moving,
-                basis_vars=non_quadratic - moving,
-                dual_weight=dual,
-            )
 
     @cached_property
     def kernel(self) -> tuple[GroupElement, ...]:
@@ -230,20 +205,25 @@ class HochschildEngine:
         vector = tuple(exps.get(v, 0) for v in self.polynomial.variables)
         return HHContribution(gi, summand, vector, u, k)
 
-    def _chi0_free(self) -> int:
-        """Free coordinate of chi_0; AmbiguousGradingError when it is 0."""
-        f0 = self._chi0.free
-        if f0 == 0:
-            raise AmbiguousGradingError(
-                f"stabilizer degree is torsion for exponents {self.polynomial.exponents}")
-        return f0
-
-    def _count(self, ks: Sequence[int], want_witnesses: bool) -> list[DegreeDimension]:
-        """Rows for the degrees in ``ks``: each stratum is counted once per
-        degree and summand by one index lookup, and weighted by its
-        multiplicity.  Bases and indexes live for this call only."""
+    def _count(self, ks: Sequence[int], want_witnesses: bool) -> tuple[list[DegreeDimension], int]:
+        """Rows for the degrees in ``ks``, and the largest stabilizer power
+        a_0 they accepted: each stratum is counted once per degree and
+        summand by one index lookup, and weighted by its multiplicity.
+        Strata, bases and indexes live for this call only."""
         lat = self.lattice
+        strata = lat.moving_set_counts()
+        pairs = len(strata) * len(ks)
+        if pairs > STRATUM_DEGREE_BUDGET:
+            raise BudgetExceededError(
+                f"{len(strata)} strata over {len(ks)} degrees give {pairs}"
+                f" stratum-degree pairs, more than the budget {STRATUM_DEGREE_BUDGET}")
         chi = lat.chi
+        stabilized = self.polynomial.stabilized
+        chi0 = lat.variable_weight(0) if stabilized else None
+        # A quadratic variable adds only its power 0 to a Jacobi basis, so
+        # bases are keyed by the variables of exponent >= 3 alone.
+        non_quadratic = frozenset(i for i in range(1, self.polynomial.num_vars + 1)
+                                  if self.polynomial.exponent_of(i) > 2)
         basis = cache(self._basis)
 
         @cache
@@ -263,32 +243,36 @@ class HochschildEngine:
             return buckets
 
         counts = {k: 0 for k in ks}
-        max_a0 = {k: 0 for k in ks}
+        max_a0 = 0
         accepted = {}  # moving set -> [(k, summand, elem, a0, u)]
-        for moving, info in self._strata.items():
-            summands = [(EVEN, 0, info.dual_weight)]
-            if info.z0_fixed:
-                summands.append((ODD, 1, info.dual_weight - self._chi0))
+        for moving, mult in strata.items():
+            moving_count = len(moving)
+            z0_fixed = stabilized and 0 not in moving
+            basis_vars = non_quadratic - moving
+            dual = lat.weight_of_monomial({}, duals=moving)
+            summands = [(EVEN, 0, dual)]
+            if z0_fixed:
+                summands.append((ODD, 1, dual - chi0))
             found = accepted[moving] = []
             for k in ks:
                 for summand, shift, offset in summands:
-                    num = k - info.moving_count - shift
+                    num = k - moving_count - shift
                     if num % 2:
                         continue
                     u = num // 2
                     target = chi.scaled(u) - offset
-                    if info.z0_fixed:
+                    if z0_fixed:
                         key = lat.chi0_coset(target)
                         hits = []
-                        for elem in by_coset(info.basis_vars).get(key, ()):
-                            a0 = (target.free - elem.weight.free) // self._chi0.free
+                        for elem in by_coset(basis_vars).get(key, ()):
+                            a0 = (target.free - elem.weight.free) // chi0.free
                             if a0 >= 0:
                                 hits.append((elem, a0))
-                                if a0 > max_a0[k]:
-                                    max_a0[k] = a0
+                                if a0 > max_a0:
+                                    max_a0 = a0
                     else:
-                        hits = [(elem, 0) for elem in by_weight(info.basis_vars).get(target, ())]
-                    counts[k] += info.multiplicity * len(hits)
+                        hits = [(elem, 0) for elem in by_weight(basis_vars).get(target, ())]
+                    counts[k] += mult * len(hits)
                     if want_witnesses:
                         found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
         wits = {k: [] for k in ks}
@@ -296,13 +280,14 @@ class HochschildEngine:
             for gi, gamma in enumerate(self.kernel):
                 for k, summand, elem, a0, u in accepted[gamma.moving]:
                     wits[k].append(self._witness(gi, summand, elem, a0, u, k))
-        return [DegreeDimension(k, counts[k],
+        rows = [DegreeDimension(k, counts[k],
                                 tuple(sorted(wits[k], key=HHContribution.sort_key))
-                                if want_witnesses else None, max_a0[k])
+                                if want_witnesses else None)
                 for k in ks]
+        return rows, max_a0
 
     def dimension(self, k: int, witnesses: bool = False) -> DegreeDimension:
-        return self._count([k], witnesses)[0]
+        return self._count([k], witnesses)[0][0]
 
     def _report(self, rows: Sequence[DegreeDimension], max_a0: int, engine: str) -> HHReport:
         return HHReport(
@@ -320,13 +305,8 @@ class HochschildEngine:
     def table(self, k_min: int, k_max: int, witnesses: bool = False) -> HHReport:
         """Dimensions over [k_min, k_max]."""
         _check_degree_window(k_min, k_max)
-        pairs = len(self._strata) * (k_max - k_min + 1)
-        if pairs > STRATUM_DEGREE_BUDGET:
-            raise BudgetExceededError(
-                f"{len(self._strata)} strata over {k_max - k_min + 1} degrees give {pairs}"
-                f" stratum-degree pairs, more than the budget {STRATUM_DEGREE_BUDGET}")
-        rows = self._count(range(k_min, k_max + 1), witnesses)
-        return self._report(rows, max(row.max_a0 for row in rows), "closed-form")
+        rows, max_a0 = self._count(range(k_min, k_max + 1), witnesses)
+        return self._report(rows, max_a0, "closed-form")
 
     def bruteforce_table(self, a0_bound: int, u_bound: int):
         """Independent recount with scanned stabilizer powers and scanned
@@ -342,11 +322,13 @@ class HochschildEngine:
         """
         if a0_bound < 0 or u_bound < 0:
             raise ValueError("scan bounds must be nonnegative")
+        poly = self.polynomial
         u_count = 2 * u_bound + 1
         steps = u_count + sum(
-            info.multiplicity * (2 * (a0_bound + 1) if info.z0_fixed else 1)
-            * math.prod(self.polynomial.exponent_of(i) - 1 for i in info.basis_vars)
-            for info in self._strata.values())
+            mult * (2 * (a0_bound + 1) if poly.stabilized and 0 not in moving else 1)
+            * math.prod(poly.exponent_of(i) - 1
+                        for i in range(1, poly.num_vars + 1) if i not in moving)
+            for moving, mult in self.lattice.moving_set_counts().items())
         if u_count > DEGREE_BUDGET or steps > SCAN_BUDGET:
             raise BudgetExceededError(
                 f"oracle scan over {u_count} chi-multiples (degree budget {DEGREE_BUDGET})"
@@ -358,8 +340,12 @@ class HochschildEngine:
         for u in range(-u_bound, u_bound + 1):
             w = chi.scaled(u)
             u_by_key[(w.free, *w.torsion)] = u
-        if self.polynomial.stabilized:
-            f0, t0 = self._chi0_free(), self._chi0.torsion
+        if poly.stabilized:
+            chi0 = lat.variable_weight(0)
+            f0, t0 = chi0.free, chi0.torsion
+            if f0 == 0:
+                raise AmbiguousGradingError(
+                    f"stabilizer degree is torsion for exponents {poly.exponents}")
         counts: dict[int, int] = {}
         max_a0 = 0
         basis = cache(self._basis)
@@ -377,7 +363,7 @@ class HochschildEngine:
                 for shift in (0, 1):
                     if shift and not z0_fixed:
                         continue
-                    start = base - self._chi0 if shift else base
+                    start = base - chi0 if shift else base
                     if z0_fixed:
                         checked(start.free + a0_bound * f0)
                         f = start.free
@@ -403,7 +389,7 @@ class HochschildEngine:
                           a0_bound: int, u_bound: int) -> HHReport:
         _check_degree_window(k_min, k_max)
         counts, max_a0 = self.bruteforce_table(a0_bound, u_bound)
-        rows = [DegreeDimension(k, counts.get(k, 0), None, 0) for k in range(k_min, k_max + 1)]
+        rows = [DegreeDimension(k, counts.get(k, 0), None) for k in range(k_min, k_max + 1)]
         return self._report(rows, max_a0, "oracle")
 
 

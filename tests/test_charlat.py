@@ -67,11 +67,6 @@ def test_stabilizer_degree_relation(lat2235):
     assert lat2235.variable_weight(0) == lat2235.chi - total
 
 
-def test_include_z0_dual_subtracts_chi0(lat2235):
-    w = lat2235.weight_of_monomial({3: 1}, include_z0_dual=True)
-    assert w == lat2235.variable_weight(3) - lat2235.variable_weight(0)
-
-
 def test_negative_exponent_rejected(lat2235):
     with pytest.raises(ValueError):
         lat2235.weight_of_monomial({3: -1})

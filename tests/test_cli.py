@@ -11,7 +11,7 @@ import pytest
 import mfhh
 import mfhh.cli as cli
 from mfhh.cli import canonical_json, run
-from mfhh.charlat import CharacterLattice
+from mfhh.charlat import CharacterLattice, Weight
 from mfhh.hhengine import PropositionCheck, PropositionReport, oracle_bounds
 
 
@@ -270,6 +270,32 @@ def test_wide_degree_window_fails_fast(command, capsys):
         assert time.perf_counter() - started < 1.0
         assert code == 4 and out == ""
         assert capsys.readouterr().err.startswith("Budget: ")
+
+
+def test_stratum_budget_refuses_before_any_stratum_is_built(monkeypatch, capsys):
+    """Sixteen 2s give 65536 strata; over the default 61 degrees the
+    refusal comes before a single dual weight is formed."""
+    def refuse(self, other):
+        raise AssertionError("built a stratum")
+
+    monkeypatch.setattr(Weight, "__sub__", refuse)
+    code, out = invoke("hh", "--exponents", ",".join(["2"] * 16), "--stabilize")
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err == (
+        "Budget: 65536 strata over 61 degrees give 3997696 stratum-degree pairs,"
+        " more than the budget 2000000\n")
+
+
+def test_group_builds_no_strata(monkeypatch):
+    argv = ("group", "--exponents", "2,2,3,5", "--stabilize", "--format", "json")
+    expected = invoke(*argv)
+
+    def refuse(self):
+        raise AssertionError("counted moving sets")
+
+    monkeypatch.setattr(CharacterLattice, "moving_set_counts", refuse)
+    assert invoke(*argv) == expected
+    assert expected[0] == 0
 
 
 @pytest.mark.parametrize("bounds", [

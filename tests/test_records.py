@@ -39,7 +39,6 @@ FACTORIES = {
     "HHContribution": lambda: _engine().dimension(1, witnesses=True).witnesses[0],
     "DegreeDimension": lambda: _engine().dimension(1, witnesses=True),
     "HHReport": lambda: _engine().table(-2, 2),
-    "_Stratum": lambda: _engine()._strata[frozenset({0, 3, 4})],
     "PropositionCheck": lambda: verify_proposition(DiagonalPolynomial(P, True)).checks[1],
     "PropositionReport": lambda: verify_proposition(DiagonalPolynomial(P, True)),
 }
