@@ -6,8 +6,10 @@ common value is the distinguished character chi.  The character lattice of
 this symmetry group is therefore the abelian group on generators
 chi_1, ..., chi_N (the degrees of the variables) and chi, modulo the
 relations k_i*chi_i - chi.  The stabilized variant adjoins one more variable
-z_0 of degree chi_0 := chi - (chi_1 + ... + chi_N), i.e. one more generator
-and the relation chi_0 + chi_1 + ... + chi_N - chi.
+z_0 of degree chi_0 := chi - (chi_1 + ... + chi_N).  That degree already
+lies in the lattice (a new generator together with its defining relation
+would give the same group), so both variants share one presentation and
+differ only in whether z_0 is a variable.
 
 Smith normal form of the relation matrix converts the lattice into canonical
 coordinates: exactly one free integer coordinate (the group is a rank-one
@@ -109,26 +111,14 @@ class CharacterLattice:
             else tuple(range(1, self.num_vars + 1))
         )
 
-        # Generator columns: [chi_0,] chi_1, ..., chi_N, chi.
+        # Generator columns: chi_1, ..., chi_N, chi.
         n = self.num_vars
-        offset = 1 if self.stabilized else 0
-        self._gen_count = n + 1 + offset
-        self._chi_col = self._gen_count - 1
-        self._var_col = {i: offset + i - 1 for i in range(1, n + 1)}
-        if self.stabilized:
-            self._var_col[0] = 0
-
+        self._gen_count = n + 1
         rows = []
-        for i, k in enumerate(exps, start=1):
+        for i, k in enumerate(exps):
             row = [0] * self._gen_count
-            row[self._var_col[i]] = k
-            row[self._chi_col] = -1
-            rows.append(row)
-        if self.stabilized:
-            row = [0] * self._gen_count
-            for col in self._var_col.values():
-                row[col] = 1
-            row[self._chi_col] = -1
+            row[i] = k
+            row[n] = -1
             rows.append(row)
         self.relation_matrix = IntMatrix.from_rows(rows, self._gen_count)
         self.snf = smith_normal_form(self.relation_matrix)
@@ -148,8 +138,10 @@ class CharacterLattice:
         self.torsion_mods: tuple[int, ...] = tuple(diag[j] for j in torsion_cols)
 
         self._zero = self._weight_from_coords([0] * self._gen_count)
-        self._chi = self._weight_from_gen(self._chi_col)
-        self._var_weight = {i: self._weight_from_gen(col) for i, col in self._var_col.items()}
+        self._chi = self._weight_from_gen(n)
+        self._var_weight = {i: self._weight_from_gen(i - 1) for i in range(1, n + 1)}
+        if self.stabilized:
+            self._var_weight[0] = self._weight_from_coords([-1] * n + [1])
         if self._chi.free == 0:
             raise RankError("total degree chi has no free component")
         for row in self.relation_matrix.to_rows():
@@ -308,7 +300,7 @@ class CharacterLattice:
         g = self._gen_count
         rows = self.relation_matrix.to_rows()
         chi_row = [0] * g
-        chi_row[self._chi_col] = 1
+        chi_row[-1] = 1
         rows.append(chi_row)
         return cokernel(IntMatrix.from_rows(rows, g))
 

@@ -5,8 +5,9 @@ Subcommands:
 * ``group``  -- character-lattice structure, kernel order, element list
 * ``milnor`` -- Milnor number of the polynomial
 * ``hh``     -- cohomology dimension table over a degree range
-* ``verify`` -- closed-form degree-0 / degree-n predictions (exit 0 on pass,
-  2 on mismatch, 3 when the hypotheses do not apply)
+* ``verify`` -- closed-form degree-0 / degree-n predictions for the
+  stabilized {2,2} + p family (exit 0 on pass, 2 on mismatch, 3 on any other
+  input)
 * ``oracle`` -- bounded rescan compared against the closed-form engine
   (exit 0 iff they agree on every degree)
 

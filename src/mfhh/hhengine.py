@@ -409,43 +409,28 @@ class PropositionReport(namedtuple("PropositionReport", "status reasons checks")
         return self.status == "pass"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def verify_proposition(p: DiagonalPolynomial) -> PropositionReport:
-    """Check the closed-form predictions for a stabilized double suspension
-    with distinct odd prime exponents: the dimension in degree 0 equals
-    k3 - 1 (k3 the smallest odd exponent) and the dimension in degree
-    n = N - 1 equals the Milnor number.
+    """Check the closed-form predictions for the paper's stabilized double
+    suspensions xy + p(z): the exponents are {2, 2} plus those of any
+    nonempty Brieskorn-Pham polynomial p.  The dimension in degree 0 equals
+    k3 - 1 with k3 = min(p), and the dimension in degree n = N - 1 equals
+    the Milnor number.
 
     Hypothesis failures yield status "hypotheses_not_met" without computing.
     """
     reasons = []
     if not p.stabilized:
         reasons.append("polynomial is not stabilized")
-    twos = [k for k in p.exponents if k == 2]
-    odd = sorted(k for k in p.exponents if k != 2)
-    if len(twos) != 2:
-        reasons.append(f"need exactly two quadratic exponents, found {len(twos)}")
-    if not odd:
-        reasons.append("need at least one exponent >= 3")
-    for k in odd:
-        if not _is_prime(k):
-            reasons.append(f"exponent {k} is not prime")
-    if len(set(odd)) != len(odd):
-        reasons.append("exponents >= 3 must be distinct")
+    twos = p.exponents.count(2)
+    if twos < 2:
+        reasons.append(f"need two quadratic exponents, found {twos}")
+    elif len(p.exponents) == 2:
+        reasons.append("need an exponent besides the quadratic pair")
     if reasons:
         return PropositionReport("hypotheses_not_met", tuple(reasons), ())
 
-    k3 = odd[0]
+    # 2 is the smallest exponent, so the pair sorts first and p follows.
+    k3 = sorted(p.exponents)[2]
     n = p.num_vars - 1
     mu = milnor_number(p)
     report = HochschildEngine(p).table(0, n)

@@ -8,9 +8,10 @@ is a tripwire for bugs and absurd inputs rather than a real limitation.
 
 The Smith normal form routine is fully deterministic: the pivot is always the
 entry of smallest nonzero absolute value in the active block, ties broken by
-lowest (row, column).  Determinism matters because downstream code derives a
-canonical coordinate system (and user-visible witness data) from the
-transform matrices, not just from the diagonal.
+lowest (row, column).  Determinism matters because downstream code derives
+its coordinate system from the transform matrices, not just from the
+diagonal.  Reports do not depend on that choice: they use only the invariant
+factors and equalities between weights.
 """
 
 from __future__ import annotations

@@ -162,10 +162,15 @@ def test_criterion_7_property_suites(engines):
     assert outputs[0] == outputs[1]
     json.loads(outputs[0])  # well-formed
 
-    # Exit-code contract of verify on the documented example inputs.
+    # Exit-code contract of verify: {2,2} plus any exponents pass; no
+    # quadratic pair, nothing besides it, or no stabilizer exit 3.
     for args, expected in [
         (["verify", "--exponents", "2,2,3,5", "--stabilize"], 0),
-        (["verify", "--exponents", "2,2,4,5", "--stabilize"], 3),
-        (["verify", "--exponents", "2,2,3,3", "--stabilize"], 3),
+        (["verify", "--exponents", "2,2,4,5", "--stabilize"], 0),
+        (["verify", "--exponents", "2,2,3,3", "--stabilize"], 0),
+        (["verify", "--exponents", "2,2,2", "--stabilize"], 0),
+        (["verify", "--exponents", "2,3,5", "--stabilize"], 3),
+        (["verify", "--exponents", "2,2", "--stabilize"], 3),
+        (["verify", "--exponents", "2,2,3,5"], 3),
     ]:
         assert run(args, out=io.StringIO()) == expected, args

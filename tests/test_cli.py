@@ -177,18 +177,27 @@ def test_parallel_outputs_are_byte_identical():
 
 
 def test_verify_exit_codes():
-    assert invoke("verify", "--exponents", "2,2,3,5", "--stabilize")[0] == 0
-    assert invoke("verify", "--exponents", "2,2,4,5", "--stabilize")[0] == 3
-    assert invoke("verify", "--exponents", "2,2,3,3", "--stabilize")[0] == 3
+    for exps in ("2,2,3,5", "2,2,4,5", "2,2,3,3", "2,2,2"):
+        assert invoke("verify", "--exponents", exps, "--stabilize")[0] == 0, exps
+    assert invoke("verify", "--exponents", "2,3,5", "--stabilize")[0] == 3
+    assert invoke("verify", "--exponents", "2,2", "--stabilize")[0] == 3
+    assert invoke("verify", "--exponents", "2,2,3,5")[0] == 3
 
 
 def test_verify_json_payload():
     code, out = invoke("verify", "--exponents", "2,2,4,5", "--stabilize",
                        "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "exponents": [2, 2, 4, 5], "stabilized": True, "status": "pass", "reasons": [],
+        "checks": [{"label": "dim HH^0", "degree": 0, "computed": 3, "expected": 3},
+                   {"label": "dim HH^3", "degree": 3, "computed": 12, "expected": 12}]}
+    code, out = invoke("verify", "--exponents", "2,3,5", "--stabilize", "--format", "json")
     assert code == 3
     payload = json.loads(out)
     assert payload["status"] == "hypotheses_not_met"
-    assert payload["reasons"]
+    assert payload["reasons"] == ["need two quadratic exponents, found 1"]
+    assert payload["checks"] == []
 
 
 def test_verify_mismatch_exit_code(monkeypatch):

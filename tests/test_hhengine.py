@@ -342,16 +342,22 @@ def test_proposition_passes():
 
 def test_closed_forms_over_the_double_suspension_family():
     """HH^0 = min(p) - 1 and HH^n = mu for xy + p(z), with p every
-    Brieskorn-Pham polynomial of 1-3 exponents in 2..9 (164 instances)."""
+    Brieskorn-Pham polynomial of 1-3 exponents in 2..9 (164 instances), and
+    verify_proposition passes on each of them."""
     failures = []
+    instances = 0
     for size in (1, 2, 3):
         for p in itertools.combinations_with_replacement(range(2, 10), size):
+            instances += 1
             poly = DiagonalPolynomial((2, 2) + p, True)
             n = poly.num_vars - 1
             report = HochschildEngine(poly).table(0, n)
             got = (report.dimension(0).dim, report.dimension(n).dim)
             if got != (min(p) - 1, milnor_number(poly)):
                 failures.append((p, got))
+            if not verify_proposition(poly).passed:
+                failures.append((p, "verify"))
+    assert instances == 164
     assert failures == []
 
 
@@ -370,16 +376,23 @@ def test_closed_forms_fail_without_the_quadratic_pair(exps, dims):
 
 
 def test_proposition_rejects_nonprime():
+    """Composite exponents are in the paper's family: k3 = min(p) = 4."""
     report = verify_proposition(DiagonalPolynomial((2, 2, 4, 5), True))
-    assert report.status == "hypotheses_not_met"
-    assert any("not prime" in r for r in report.reasons)
-    assert report.checks == ()
+    assert report.status == "pass" and report.reasons == ()
+    assert [(c.degree, c.computed, c.expected) for c in report.checks] == [
+        (0, 3, 3), (3, 12, 12)]
 
 
 def test_proposition_rejects_repeated_prime():
+    """Repeated exponents are in the paper's family, a third 2 included."""
     report = verify_proposition(DiagonalPolynomial((2, 2, 3, 3), True))
-    assert report.status == "hypotheses_not_met"
-    assert any("distinct" in r for r in report.reasons)
+    assert report.status == "pass" and report.reasons == ()
+    assert [(c.degree, c.computed, c.expected) for c in report.checks] == [
+        (0, 2, 2), (3, 4, 4)]
+    report = verify_proposition(DiagonalPolynomial((2, 2, 2), True))
+    assert report.status == "pass"
+    assert [(c.degree, c.computed, c.expected) for c in report.checks] == [
+        (0, 1, 1), (2, 1, 1)]
 
 
 def test_proposition_rejects_unstabilized():

@@ -1,9 +1,11 @@
 """The stratified engine against the element-by-element views of ker chi:
 closed-form moving-set multiplicities against enumeration, and dimension
-tables against the bounded oracle, which walks every element."""
+tables against the bounded oracle, which walks every element, and against
+the residue rule, which needs no Jacobi basis."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -29,6 +31,71 @@ def test_moving_set_counts_match_enumeration(stabilized):
         counts = lat.moving_set_counts()
         assert counts == dict(Counter(g.moving for g in lat.enumerate_ker_chi())), exps
         assert sum(counts.values()) == lat.chi_quotient().order, exps
+
+
+def test_both_stabilizations_share_one_lattice():
+    """chi_0 = chi - sum(chi_i) already lies in the unstabilized lattice, so
+    adjoining z_0 changes no presentation."""
+    for exps in SMALL_MULTISETS:
+        plain, stab = (build_character_lattice(exps, s) for s in (False, True))
+        assert stab.relation_matrix == plain.relation_matrix, exps
+        assert stab.torsion_mods == plain.torsion_mods, exps
+        assert stab.chi_quotient() == plain.chi_quotient(), exps
+
+
+def residue_table(exps, stabilized, k_min, k_max):
+    """dim HH^k over [k_min, k_max] by the residue rule, per moving set.
+
+    With c_i = a_i for fixed and -1 for moving variables, and c_0 = a_0 -
+    shift when z_0 is fixed, -1 when it moves and 0 unstabilized, the weight
+    sum(c_i chi_i) + c_0 chi_0 equals u*chi iff c_i = c_0 (mod k_i) for every
+    i.  So c_0 names the monomial (a_i = c_0 mod k_i, a Jacobi power iff it
+    is at most k_i - 2) and u = c_0 q_0 + sum_F a_i/k_i - sum_M 1/k_j, with
+    q_0 = 1 - sum(1/k_i).
+    """
+    q0 = 1 - sum(Fraction(1, k) for k in exps)
+    a0_bound = oracle_bounds(exps, stabilized, k_min, k_max)[0]
+    dims = dict.fromkeys(range(k_min, k_max + 1), 0)
+    for moving, mult in build_character_lattice(exps, stabilized).moving_set_counts().items():
+        if not stabilized:
+            choices = [(0, 0)]
+        elif 0 in moving:
+            choices = [(-1, 0)]
+        else:
+            choices = [(a0 - shift, shift) for a0 in range(a0_bound + 1) for shift in (0, 1)]
+        moved = [exps[j - 1] for j in moving if j]
+        fixed = [k for i, k in enumerate(exps, start=1) if i not in moving]
+        for c0, shift in choices:
+            if any((c0 + 1) % k for k in moved) or any(c0 % k > k - 2 for k in fixed):
+                continue
+            u = (c0 * q0 + sum(Fraction(c0 % k, k) for k in fixed)
+                 - sum(Fraction(1, k) for k in moved))
+            assert u.denominator == 1
+            k = 2 * int(u) + len(moving) + shift
+            if k in dims:
+                dims[k] += mult
+    return [dims[k] for k in range(k_min, k_max + 1)]
+
+
+def test_residue_rule_matches_table():
+    """The residue rule against the engine on every multiset with N <= 4,
+    k <= 7 and prod(k) <= 200, both stabilizations, over [-2N-2, 2N+2]."""
+    instances = 0
+    for size in range(1, 5):
+        for exps in itertools.combinations_with_replacement(range(2, 8), size):
+            if prod(exps) > 200:
+                continue
+            for stabilized in (False, True):
+                k_min, k_max = -2 * size - 2, 2 * size + 2
+                engine = HochschildEngine(DiagonalPolynomial(exps, stabilized))
+                try:
+                    report = engine.table(k_min, k_max)
+                except AmbiguousGradingError:
+                    continue
+                instances += 1
+                assert [r.dim for r in report.dimensions] == \
+                    residue_table(exps, stabilized, k_min, k_max), (exps, stabilized)
+    assert instances == 238
 
 
 def test_moving_set_counts_need_no_enumeration(monkeypatch):
