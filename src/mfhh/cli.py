@@ -20,9 +20,11 @@ enumerated: every subcommand that builds the engine (all but ``milnor``)
 refuses instances with prod(k_i) = |ker chi| above 10^5; ``hh`` and
 ``oracle`` refuse degree windows of more than 10^4 degrees, and windows
 whose degrees times moving-set strata exceed 2*10^6 (checked before any
-stratum is built); ``oracle`` refuses scan windows (given or derived) of
-more than 10^4 chi-multiples or 10^7 weight lookups.  These bound the size
-of every enumeration and scan, not its time.
+stratum is built); ``hh --witnesses`` refuses windows with more than 10^5
+witnesses (checked after counting, before the group is enumerated);
+``oracle`` refuses scan windows (given or derived) that need more than 10^7
+weight lookups.  These bound the size of every enumeration and scan, not its
+time.
 
 ``--parallel N`` is accepted and validated for compatibility; it has no
 effect, since the engine no longer starts worker processes.
@@ -95,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="stabilizer-power scan bound (default: a-priori bound"
                                 " from the degree equation)")
             p.add_argument("--u-bound", type=int, metavar="U",
-                           help="chi-multiple scan bound (default: a-priori bound for the range)")
+                           help="largest |u| of a counted chi-multiple u*chi (default:"
+                                " a-priori bound for the range)")
 
     add_common(sub.add_parser("group", help="print the symmetry group data"), cmd_group)
     add_common(sub.add_parser("milnor", help="print the Milnor number"), cmd_milnor)

@@ -54,9 +54,10 @@ offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
   a_0 = (target.free - weight.free) / chi_0.free, and counts iff a_0 >= 0.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of
-ker(chi) and rescans a_0 and u over finite windows; it must agree whenever
-its bounds dominate, which the a-priori bounds of `oracle_bounds` do without
-consulting the engine.
+ker(chi), scans a_0 over a finite window and tests the degree equation
+directly, keeping the chi-multiples u inside a second window; it must agree
+whenever its bounds dominate, which the a-priori bounds of `oracle_bounds`
+do without consulting the engine.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ ODD = "odd"
 # enumeration the engine or the CLI can start.
 ELEMENT_BUDGET = 10**5
 
-# Most degrees one table or oracle report may span, and most chi-multiples
-# the oracle may scan.  Checked before anything is allocated per degree.
+# Most degrees one table or oracle report may span.  Checked before anything
+# is allocated per degree.
 DEGREE_BUDGET = 10**4
 
 # Most weight lookups one oracle recount may make.
@@ -95,6 +96,10 @@ SCAN_BUDGET = 10**7
 # give up to 2^(N+1) strata under the element budget, and a table does one
 # lookup per stratum, degree and summand.
 STRATUM_DEGREE_BUDGET = 2 * 10**6
+
+# Most witnesses one table may list.  Checked after counting, before ker(chi)
+# is enumerated to name them.
+WITNESS_BUDGET = 10**5
 
 
 class BudgetExceededError(ValueError):
@@ -277,6 +282,11 @@ class HochschildEngine:
                         found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
         wits = {k: [] for k in ks}
         if want_witnesses:
+            total = sum(counts.values())
+            if total > WITNESS_BUDGET:
+                raise BudgetExceededError(
+                    f"degrees {ks[0]}..{ks[-1]} have {total} witnesses, more than the"
+                    f" witness budget {WITNESS_BUDGET}")
             for gi, gamma in enumerate(self.kernel):
                 for k, summand, elem, a0, u in accepted[gamma.moving]:
                     wits[k].append(self._witness(gi, summand, elem, a0, u, k))
@@ -309,40 +319,35 @@ class HochschildEngine:
         return self._report(rows, max_a0, "closed-form")
 
     def bruteforce_table(self, a0_bound: int, u_bound: int):
-        """Independent recount with scanned stabilizer powers and scanned
-        chi-multiples: a_0 runs over [0, a0_bound], u over
-        [-u_bound, u_bound], and weight equalities are tested directly, one
-        element of ker(chi) at a time (no multiplicities).
+        """Independent recount, one element of ker(chi) at a time (no
+        multiplicities): each Jacobi monomial on gamma's fixed variables,
+        summand and a_0 in [0, a0_bound] (only 0 when gamma moves z_0)
+        counts in degree 2u + #moving + shift iff the degree equation holds
+        for some u with |u| <= u_bound, tested directly on the weight.
 
         Returns (counts by degree, max accepted a_0).  Degrees absent from
         the dict have count 0 within the scanned windows.  Raises
         AmbiguousGradingError when chi_0 is torsion, since the count would
         then grow with a0_bound, and BudgetExceededError before scanning when
-        the windows exceed DEGREE_BUDGET chi-multiples or SCAN_BUDGET lookups.
+        the windows need more than SCAN_BUDGET lookups.
         """
         if a0_bound < 0 or u_bound < 0:
             raise ValueError("scan bounds must be nonnegative")
         poly = self.polynomial
-        u_count = 2 * u_bound + 1
-        steps = u_count + sum(
+        steps = sum(
             mult * (2 * (a0_bound + 1) if poly.stabilized and 0 not in moving else 1)
             * math.prod(poly.exponent_of(i) - 1
                         for i in range(1, poly.num_vars + 1) if i not in moving)
             for moving, mult in self.lattice.moving_set_counts().items())
-        if u_count > DEGREE_BUDGET or steps > SCAN_BUDGET:
+        if steps > SCAN_BUDGET:
             raise BudgetExceededError(
-                f"oracle scan over {u_count} chi-multiples (degree budget {DEGREE_BUDGET})"
-                f" needs {steps} lookups (scan budget {SCAN_BUDGET})")
+                f"oracle scan needs {steps} lookups, more than the scan budget {SCAN_BUDGET}")
         lat = self.lattice
-        chi = lat.chi
-        mods = lat.torsion_mods
-        u_by_key = {}
-        for u in range(-u_bound, u_bound + 1):
-            w = chi.scaled(u)
-            u_by_key[(w.free, *w.torsion)] = u
+        fc = lat.chi.free
+        chi0, f0 = None, 0
         if poly.stabilized:
             chi0 = lat.variable_weight(0)
-            f0, t0 = chi0.free, chi0.torsion
+            f0 = chi0.free
             if f0 == 0:
                 raise AmbiguousGradingError(
                     f"stabilizer degree is torsion for exponents {poly.exponents}")
@@ -354,35 +359,27 @@ class HochschildEngine:
             # Everything below comes from gamma itself, not from the
             # engine's strata, so a wrong stratum cannot repeat here.
             z0_fixed = 0 in gamma.fixed
+            a0_max = a0_bound if z0_fixed else 0
             moving_count = len(gamma.moving)
             dual = duals.get(gamma.moving)
             if dual is None:
                 dual = duals[gamma.moving] = lat.weight_of_monomial({}, duals=gamma.moving)
             for elem in basis(gamma.fixed - {0}):
                 base = elem.weight + dual
-                for shift in (0, 1):
-                    if shift and not z0_fixed:
-                        continue
+                for shift in (0, 1) if z0_fixed else (0,):
                     start = base - chi0 if shift else base
                     if z0_fixed:
                         checked(start.free + a0_bound * f0)
-                        f = start.free
-                        t = list(start.torsion)
-                        for a0 in range(a0_bound + 1):
-                            u = u_by_key.get((f, *t))
-                            if u is not None:
-                                k = 2 * u + moving_count + shift
-                                counts[k] = counts.get(k, 0) + 1
-                                if a0 > max_a0:
-                                    max_a0 = a0
-                            f += f0
-                            for idx in range(len(t)):
-                                t[idx] = (t[idx] + t0[idx]) % mods[idx]
-                    else:
-                        u = u_by_key.get((start.free, *start.torsion))
-                        if u is not None:
-                            k = 2 * u + moving_count
+                    for a0 in range(a0_max + 1):
+                        # A multiple of chi has a multiple of chi's free coordinate.
+                        if (start.free + a0 * f0) % fc:
+                            continue
+                        u = lat.is_multiple_of_chi(start + chi0.scaled(a0) if a0 else start)
+                        if u is not None and abs(u) <= u_bound:
+                            k = 2 * u + moving_count + shift
                             counts[k] = counts.get(k, 0) + 1
+                            if a0 > max_a0:
+                                max_a0 = a0
         return counts, max_a0
 
     def bruteforce_report(self, k_min: int, k_max: int,

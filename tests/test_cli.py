@@ -313,11 +313,46 @@ def test_group_builds_no_strata(monkeypatch):
     ("--a0-bound", "1000000000"),
 ])
 def test_oracle_scan_window_fails_fast(bounds, capsys):
+    """Windows needing more than the scan budget are refused before the
+    scan; the u window costs no lookups, so a wide one answers with the rows
+    of the default bounds."""
     started = time.perf_counter()
     code, out = invoke("oracle", "--exponents", "2,3", "--stabilize", *bounds)
     assert time.perf_counter() - started < 1.0
+    if bounds[0] == "--u-bound":
+        _, default = invoke("oracle", "--exponents", "2,3", "--stabilize")
+        assert code == 0
+        assert "bounds    : a0 <= 31, |u| <= 100000000\n" in out
+        assert ([line for line in out.splitlines() if not line.startswith("bounds")]
+                == [line for line in default.splitlines() if not line.startswith("bounds")])
+        return
     assert code == 4 and out == ""
     assert capsys.readouterr().err.startswith("Budget: ")
+
+
+@pytest.mark.parametrize("k, dim", [(10000, 2), (-10000, 0)])
+def test_oracle_answers_far_degree_windows(k, dim):
+    """The oracle's cost does not grow with |u|, so a one-degree window far
+    from 0 is scanned like any other."""
+    code, out = invoke("oracle", "--exponents", "2,3", "--stabilize",
+                       "--k-min", str(k), "--k-max", str(k))
+    assert code == 0
+    assert "bounds    : a0 <= 30025, |u| <= 5002\n" in out
+    assert f"{k:>5} {dim:>8} {dim:>8}  yes\n" in out
+    assert out.endswith("status    : agree\n")
+
+
+def test_witness_budget_refuses_before_enumerating(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("enumerated ker chi")
+
+    monkeypatch.setattr(CharacterLattice, "enumerate_ker_chi", refuse)
+    code, out = invoke("hh", "--exponents", "10,10,10,10,10", "--stabilize",
+                       "--k-min", "-200", "--k-max", "199", "--witnesses", "--format", "json")
+    assert code == 4 and out == ""
+    assert capsys.readouterr().err == (
+        "Budget: degrees -200..199 have 283753 witnesses, more than the"
+        " witness budget 100000\n")
 
 
 @pytest.mark.parametrize("argv", [
