@@ -235,15 +235,28 @@ class CharacterLattice:
         """
         from fractions import Fraction  # here, so importing mfhh loads no fractions/decimal
 
+        # Fractions and frozensets are immutable, so elements share them: one
+        # Fraction per phase value, one (fixed, moving) pair per zero pattern.
+        # The stabilizer phase is -sum(n_i * (L / k_i)) / L mod 1, L = lcm(k_i).
+        exps = self.exponents
+        lcm = math.lcm(*exps)
+        tables = [[Fraction(n, k) for n in range(k)] for k in exps]
+        scaled = [range(0, lcm, lcm // k) for k in exps]
+        stabilizer_phases = {}
+        split = {}
         elements = []
-        for nums in itertools.product(*(range(k) for k in self.exponents)):
-            phases = [Fraction(n, k) for n, k in zip(nums, self.exponents)]
+        for phases, nums in zip(itertools.product(*tables), itertools.product(*scaled)):
             if self.stabilized:
-                phases.insert(0, (-sum(phases)) % 1)
-            phases = tuple(phases)
-            fixed = frozenset(v for v, q in zip(self.variables, phases) if q == 0)
-            moving = frozenset(self.variables) - fixed
-            elements.append(GroupElement(phases, fixed, moving))
+                m = -sum(nums) % lcm
+                if m not in stabilizer_phases:
+                    stabilizer_phases[m] = Fraction(m, lcm)
+                phases = (stabilizer_phases[m], *phases)
+                nums = (m, *nums)
+            zeros = tuple(n == 0 for n in nums)
+            if zeros not in split:
+                fixed = frozenset(v for v, z in zip(self.variables, zeros) if z)
+                split[zeros] = (fixed, frozenset(self.variables) - fixed)
+            elements.append(GroupElement(phases, *split[zeros]))
         return tuple(elements)
 
     def moving_set_counts(self) -> dict[frozenset[int], int]:

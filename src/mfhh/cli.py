@@ -4,7 +4,9 @@ Subcommands:
 
 * ``group``  -- character-lattice structure, kernel order, element list
 * ``milnor`` -- Milnor number of the polynomial
-* ``hh``     -- cohomology dimension table over a degree range
+* ``hh``     -- cohomology dimension table over a degree range; the only
+  subcommand that offers ``--format csv`` and accepts ``--parallel N`` (validated
+  for compatibility, without effect: the engine starts no worker processes)
 * ``verify`` -- closed-form degree-0 / degree-n predictions for the
   stabilized {2,2} + p family (exit 0 on pass, 2 on mismatch, 3 on any other
   input)
@@ -25,9 +27,6 @@ witnesses (checked after counting, before the group is enumerated);
 ``oracle`` refuses scan windows (given or derived) that need more than 10^7
 weight lookups.  These bound the size of every enumeration and scan, not its
 time.
-
-``--parallel N`` is accepted and validated for compatibility; it has no
-effect, since the engine no longer starts worker processes.
 """
 
 from __future__ import annotations
@@ -75,21 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def add_common(p, command, k_range=False, witnesses=False, bounds=False):
+    def add_common(p, command, hh=False, k_range=False, bounds=False):
         p.set_defaults(command=command, k_min=None, k_max=None, witnesses=False,
-                       a0_bound=None, u_bound=None)
+                       a0_bound=None, u_bound=None, parallel=1)
         p.add_argument("--exponents", required=True, type=_parse_exponents,
                        metavar="k1,k2,...", help="diagonal exponents, each >= 2")
         p.add_argument("--stabilize", action="store_true",
                        help="adjoin the extra degree-compensating variable z0")
         p.add_argument("--format", dest="fmt", default="table",
-                       choices=["table", "json", "csv"])
-        p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="accepted for compatibility; has no effect")
+                       choices=["table", "json", "csv"] if hh else ["table", "json"])
+        if hh:
+            p.add_argument("--parallel", type=int, metavar="N",
+                           help="accepted for compatibility; has no effect")
         if k_range:
             p.add_argument("--k-min", type=int)
             p.add_argument("--k-max", type=int)
-        if witnesses:
+        if hh:
             p.add_argument("--witnesses", action="store_true",
                            help="list every contribution behind each dimension")
         if bounds:
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("group", help="print the symmetry group data"), cmd_group)
     add_common(sub.add_parser("milnor", help="print the Milnor number"), cmd_milnor)
     add_common(sub.add_parser("hh", help="print the dimension table"), cmd_hh,
-               k_range=True, witnesses=True)
+               hh=True, k_range=True)
     add_common(sub.add_parser("verify", help="check the closed-form predictions"), cmd_verify)
     add_common(sub.add_parser("oracle", help="compare the bounded rescan with the engine"),
                cmd_oracle, k_range=True, bounds=True)
@@ -122,8 +122,6 @@ def _check_args(args) -> None:
         raise _UsageError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     if args.parallel < 1:
         raise _UsageError("--parallel must be >= 1")
-    if args.fmt == "csv" and args.subcommand != "hh":
-        raise _UsageError("csv output is only defined for the hh subcommand")
     if args.a0_bound is not None and args.a0_bound < 0:
         raise _UsageError("--a0-bound must be >= 0")
     if args.u_bound is not None and args.u_bound < 0:
@@ -315,6 +313,11 @@ def cmd_oracle(args, out) -> int:
     return 0 if not mismatches else 2
 
 
+# Errors that abort a computation with exit 4, and the name printed for each.
+_ABORTS = {IntegerOverflowError: "Overflow", AmbiguousGradingError: "AmbiguousGrading",
+           BudgetExceededError: "Budget"}
+
+
 def run(argv, out=None) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     out = out if out is not None else sys.stdout
@@ -326,22 +329,18 @@ def run(argv, out=None) -> int:
         print(f"mfhh: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
-        code = exc.code
-        return 0 if code in (None, 0) else int(code)
+        return int(exc.code or 0)
     try:
         return args.command(args, out)
-    except IntegerOverflowError as exc:
-        print(f"Overflow: {exc}", file=sys.stderr)
-        return 4
-    except AmbiguousGradingError as exc:
-        print(f"AmbiguousGrading: {exc}", file=sys.stderr)
-        return 4
-    except BudgetExceededError as exc:
-        print(f"Budget: {exc}", file=sys.stderr)
+    except tuple(_ABORTS) as exc:
+        print(f"{_ABORTS[type(exc)]}: {exc}", file=sys.stderr)
         return 4
 
 
 def main() -> None:
+    import signal  # here, not in run(), which tests and the benchmark call in-process
+    if hasattr(signal, "SIGPIPE"):  # a reader that closes the pipe (| head) ends us quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

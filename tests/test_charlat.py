@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -209,8 +210,23 @@ def test_kernel_phase_conditions():
                 assert (q * k).denominator == 1
             if stab:
                 assert gamma.phases[0] == (-sum(poly_phases)) % 1
+            assert gamma.fixed == {v for v, q in zip(lat.variables, gamma.phases) if q == 0}
             assert gamma.fixed | gamma.moving == frozenset(lat.variables)
             assert not (gamma.fixed & gamma.moving)
+
+
+def test_kernel_elements_share_phases_and_splits():
+    """Elements share their Fractions and (fixed, moving) pairs, so a kernel
+    of 20020 elements keeps less than 0.5 KB per element."""
+    lat = build_character_lattice((2, 2, 5, 7, 11, 13), True)
+    tracemalloc.start()
+    try:
+        kernel = lat.enumerate_ker_chi()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kernel) == 20020
+    assert retained / len(kernel) < 512, f"{retained / len(kernel):.0f} bytes per element"
 
 
 def test_fixed_point_free_count_matches_milnor_number():

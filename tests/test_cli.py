@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -135,9 +136,20 @@ def test_csv_format():
     assert lines[1:] == ["0,2", "1,2", "2,2"]
 
 
-def test_csv_restricted_to_hh():
-    code, _ = invoke("milnor", "--exponents", "2,2,3", "--format", "csv")
-    assert code == 1
+def test_csv_restricted_to_hh(capsys):
+    for command in ("milnor", "group", "verify", "oracle"):
+        code, out = invoke(command, "--exponents", "2,2,3", "--stabilize", "--format", "csv")
+        assert code == 1 and out == "", command
+        assert "invalid choice: 'csv'" in capsys.readouterr().err, command
+
+
+def test_parallel_only_on_hh(capsys):
+    for command in ("group", "milnor", "verify", "oracle"):
+        code, out = invoke(command, "--exponents", "2,2,3", "--stabilize", "--parallel", "2")
+        assert code == 1 and out == "", command
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err, command
+    assert invoke("hh", "--exponents", "2,2,3", "--stabilize", "--parallel", "2")[0] == 0
+    assert invoke("hh", "--exponents", "2,2,3", "--stabilize", "--parallel", "0")[0] == 1
 
 
 def test_milnor_table_output():
@@ -156,6 +168,20 @@ def test_group_json():
     assert len(payload["elements"]) == 60
     assert payload["elements"][0] == ["0", "0", "0", "0", "0"]
     assert all(len(el) == 5 for el in payload["elements"])
+
+
+def test_group_needs_no_grading():
+    """sum(1/k_i) = 1 leaves the stabilizer powers ungraded, which stops hh
+    (AmbiguousGrading) but not the group data."""
+    code, out = invoke("group", "--exponents", "2,3,6", "--stabilize")
+    assert code == 0
+    assert "lattice   : Z + Z/6\n|ker chi| : 36\n" in out
+    assert len(out.splitlines()) == 4 + 36
+    code, out = invoke("group", "--exponents", "2,3,6", "--stabilize", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["torsion"] == [6]
+    assert payload["kerchi_order"] == len(payload["elements"]) == 36
 
 
 def test_default_degree_range():
@@ -386,6 +412,22 @@ def test_import_loads_no_heavy_standard_modules():
                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_quietly():
+    """A reader that stops after one line (``mfhh group ... | head -n 1``)
+    leaves no traceback on stderr."""
+    src = Path(mfhh.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mfhh.cli", "group", "--exponents", "2,2,5,7,11,13",
+         "--stabilize"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline() == b"exponents : 2,2,5,7,11,13 (stabilized)\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
 
 
 def test_public_names_resolve():
