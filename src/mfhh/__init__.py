@@ -5,7 +5,6 @@ from mfhh.charlat import (
     AmbiguousGradingError,
     CharacterLattice,
     GroupElement,
-    RankError,
     Weight,
     build_character_lattice,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "IntegerOverflowError",
     "JacobiBasisElement",
     "PropositionReport",
-    "RankError",
     "SmithDecomposition",
     "Weight",
     "build_character_lattice",

@@ -30,10 +30,6 @@ from collections.abc import Iterable, Mapping
 from mfhh.intlat import IntMatrix, cokernel, checked, smith_normal_form
 
 
-class RankError(ValueError):
-    """The lattice did not come out as a rank-one extension of a finite group."""
-
-
 class AmbiguousGradingError(ValueError):
     """The stabilizer degree chi_0 is torsion (sum of 1/k_i equals 1), so
     powers of z_0 cannot be solved from the free coordinate."""
@@ -125,14 +121,12 @@ class CharacterLattice:
 
         # Coordinates of x in the quotient Z^g / rowspan(R) are V^T x, after
         # which the j-th coordinate lives modulo the j-th diagonal entry of D
-        # (0 meaning a free coordinate, 1 a dropped one).
+        # (1 meaning a dropped one).  The N relation rows are independent, so
+        # all N diagonal entries are nonzero and the one free coordinate is
+        # column n.  chi has degree 1, so its free coordinate is never 0.
         proj = self.snf.V.transpose().to_rows()
-        nrel = self.relation_matrix.rows
-        diag = [self.snf.D.entry(j, j) if j < nrel else 0 for j in range(self._gen_count)]
-        free_cols = [j for j, dj in enumerate(diag) if dj == 0]
-        if len(free_cols) != 1:
-            raise RankError(f"free rank {len(free_cols)} != 1 for exponents {exps}")
-        self._free_row = proj[free_cols[0]]
+        diag = self.snf.D.diagonal()
+        self._free_row = proj[n]
         torsion_cols = [j for j, dj in enumerate(diag) if dj >= 2]
         self._torsion_rows = [proj[j] for j in torsion_cols]
         self.torsion_mods: tuple[int, ...] = tuple(diag[j] for j in torsion_cols)
@@ -142,8 +136,6 @@ class CharacterLattice:
         self._var_weight = {i: self._weight_from_gen(i - 1) for i in range(1, n + 1)}
         if self.stabilized:
             self._var_weight[0] = self._weight_from_coords([-1] * n + [1])
-        if self._chi.free == 0:
-            raise RankError("total degree chi has no free component")
         for row in self.relation_matrix.to_rows():
             assert self._weight_from_coords(row).is_zero()
 

@@ -6,7 +6,8 @@ Subcommands:
 * ``milnor`` -- Milnor number of the polynomial
 * ``hh``     -- cohomology dimension table over a degree range; the only
   subcommand that offers ``--format csv`` and accepts ``--parallel N`` (validated
-  for compatibility, without effect: the engine starts no worker processes)
+  for compatibility, without effect: the engine starts no worker processes);
+  ``--witnesses`` names each contribution's group element by index and phases
 * ``verify`` -- closed-form degree-0 / degree-n predictions for the
   stabilized {2,2} + p family (exit 0 on pass, 2 on mismatch, 3 on any other
   input)
@@ -138,8 +139,8 @@ def _phase_strings(gamma: GroupElement) -> list[str]:
     return [str(q) for q in gamma.phases]
 
 
-def _monomial_string(exponents, variables) -> str:
-    parts = [f"z{v}^{a}" for v, a in zip(variables, exponents) if a]
+def _monomial_string(exponents, stabilized) -> str:
+    parts = [f"z{v}^{a}" for v, a in enumerate(exponents, start=0 if stabilized else 1) if a]
     return " ".join(parts) if parts else "1"
 
 
@@ -150,22 +151,22 @@ def _header_line(exps, stabilized) -> str:
 
 # -- hh ---------------------------------------------------------------------
 
-def _witness_payload(w, kernel):
+def _witness_payload(w):
     return {
         "gamma_index": w.gamma_index,
-        "gamma": _phase_strings(kernel[w.gamma_index]),
+        "gamma": _phase_strings(w.gamma),
         "summand": w.summand,
         "monomial": list(w.exponents),
         "u": w.u,
     }
 
 
-def _hh_payload(report: HHReport, kernel):
+def _hh_payload(report: HHReport):
     rows = []
     for row in report.dimensions:
         item = {"k": row.degree, "dim": row.dim}
         if row.witnesses is not None:
-            item["witnesses"] = [_witness_payload(w, kernel) for w in row.witnesses]
+            item["witnesses"] = [_witness_payload(w) for w in row.witnesses]
         rows.append(item)
     return {
         "exponents": list(report.exponents),
@@ -177,37 +178,34 @@ def _hh_payload(report: HHReport, kernel):
     }
 
 
-def _print_hh_table(report: HHReport, engine: HochschildEngine, out):
+def _print_hh_table(report: HHReport, out):
     print(_header_line(report.exponents, report.stabilized), file=out)
     print(f"|ker chi| : {report.kerchi_order}", file=out)
     print(f"milnor    : {report.milnor}", file=out)
     print(f"engine    : {report.engine}", file=out)
     print(f"{'k':>5} {'dim':>8}", file=out)
-    variables = engine.polynomial.variables
     for row in report.dimensions:
         print(f"{row.degree:>5} {row.dim:>8}", file=out)
         if row.witnesses:
             for w in row.witnesses:
-                phases = ",".join(_phase_strings(engine.kernel[w.gamma_index]))
+                phases = ",".join(_phase_strings(w.gamma))
                 print(f"        gamma[{w.gamma_index}]=({phases})  {w.summand}"
-                      f"  u={w.u}  {_monomial_string(w.exponents, variables)}",
+                      f"  u={w.u}  {_monomial_string(w.exponents, report.stabilized)}",
                       file=out)
 
 
 def cmd_hh(args, out) -> int:
-    engine = HochschildEngine(DiagonalPolynomial(args.exponents, args.stabilize))
     # csv prints no witnesses, so it never asks for them.
-    report = engine.table(args.k_min, args.k_max,
-                          witnesses=args.witnesses and args.fmt != "csv")
+    report = HochschildEngine(DiagonalPolynomial(args.exponents, args.stabilize)).table(
+        args.k_min, args.k_max, witnesses=args.witnesses and args.fmt != "csv")
     if args.fmt == "json":
-        kernel = engine.kernel if args.witnesses else None
-        print(canonical_json(_hh_payload(report, kernel)), file=out)
+        print(canonical_json(_hh_payload(report)), file=out)
     elif args.fmt == "csv":
         print("k,dim", file=out)
         for row in report.dimensions:
             print(f"{row.degree},{row.dim}", file=out)
     else:
-        _print_hh_table(report, engine, out)
+        _print_hh_table(report, out)
     return 0
 
 
@@ -299,7 +297,7 @@ def cmd_oracle(args, out) -> int:
         if c.dim != o.dim
     ]
     if args.fmt == "json":
-        print(canonical_json(_hh_payload(oracle, None)), file=out)
+        print(canonical_json(_hh_payload(oracle)), file=out)
     else:
         print(_header_line(args.exponents, args.stabilize), file=out)
         print(f"bounds    : a0 <= {a0_bound}, |u| <= {u_bound}", file=out)

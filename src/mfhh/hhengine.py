@@ -34,9 +34,10 @@ unstabilized; stabilized, with P the moving polynomial variables,
     f(P) = sum_{S <= P} (-1)^{|P| - |S|} prod(k_S) / lcm(k_S)
 
 elements keep z_0 fixed and prod(k_i - 1, i in P) - f(P) move it.  Plain
-dimension tables therefore never enumerate ker(chi); witnesses do, to name
-each gamma.  Each ``table`` or ``dimension`` call lists the strata after
-its budgets are checked; the engine keeps none of them.
+dimension tables therefore never enumerate ker(chi); witnesses do, and each
+``HHContribution`` carries its gamma, so a report prints without the engine.
+Each ``table`` or ``dimension`` call lists the strata after its budgets are
+checked; the engine keeps none of them.
 
 Within a stratum each degree and summand costs one lookup.  A Jacobi basis
 is keyed by the fixed variables of exponent >= 3: a quadratic variable
@@ -115,16 +116,16 @@ def _check_degree_window(k_min: int, k_max: int) -> None:
             f" more than the degree budget {DEGREE_BUDGET}")
 
 
-class HHContribution(namedtuple("HHContribution", "gamma_index summand exponents u degree")):
-    """One basis contribution: which group element, which summand parity,
-    the full monomial exponent vector (aligned with the polynomial's
-    variable order, stabilizer first when present), and the chi-multiple u
-    realizing the weight condition in degree ``degree``."""
+class HHContribution(namedtuple("HHContribution", "gamma_index summand exponents u degree gamma")):
+    """One basis contribution: the index of its group element in
+    ``enumerate_ker_chi`` order, which summand parity, the full monomial
+    exponent vector (aligned with the polynomial's variable order,
+    stabilizer first when present), the chi-multiple u realizing the weight
+    condition in degree ``degree``, and the group element itself.  Within
+    one degree no two contributions share (gamma_index, summand, exponents),
+    so contributions sort by value without comparing ``gamma``."""
 
     __slots__ = ()
-
-    def sort_key(self):
-        return (self.gamma_index, self.summand, self.exponents)
 
 
 class DegreeDimension(namedtuple("DegreeDimension", "degree dim witnesses")):
@@ -202,13 +203,13 @@ class HochschildEngine:
         return jacobi_basis(
             self.lattice, {i: self.polynomial.exponent_of(i) for i in variables})
 
-    def _witness(self, gi: int, summand: str, elem: JacobiBasisElement,
-                 a0: int, u: int, k: int) -> HHContribution:
+    def _witness(self, gi: int, gamma: GroupElement, summand: str,
+                 elem: JacobiBasisElement, a0: int, u: int, k: int) -> HHContribution:
         exps = elem.exponent_map()
         if self.polynomial.stabilized:
             exps[0] = a0
         vector = tuple(exps.get(v, 0) for v in self.polynomial.variables)
-        return HHContribution(gi, summand, vector, u, k)
+        return HHContribution(gi, summand, vector, u, k, gamma)
 
     def _count(self, ks: Sequence[int], want_witnesses: bool) -> tuple[list[DegreeDimension], int]:
         """Rows for the degrees in ``ks``, and the largest stabilizer power
@@ -289,10 +290,8 @@ class HochschildEngine:
                     f" witness budget {WITNESS_BUDGET}")
             for gi, gamma in enumerate(self.kernel):
                 for k, summand, elem, a0, u in accepted[gamma.moving]:
-                    wits[k].append(self._witness(gi, summand, elem, a0, u, k))
-        rows = [DegreeDimension(k, counts[k],
-                                tuple(sorted(wits[k], key=HHContribution.sort_key))
-                                if want_witnesses else None)
+                    wits[k].append(self._witness(gi, gamma, summand, elem, a0, u, k))
+        rows = [DegreeDimension(k, counts[k], tuple(sorted(wits[k])) if want_witnesses else None)
                 for k in ks]
         return rows, max_a0
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhh.charlat import AmbiguousGradingError, build_character_lattice
+from mfhh.intlat import cokernel
 
 LATTICE_CASES = [
     ((2,), False),
@@ -23,8 +24,11 @@ def lat2235():
 
 
 def test_free_rank_is_one(lat2235):
-    # construction would raise RankError otherwise; sanity-check chi too
+    # the free coordinate is column n by construction; chi has degree 1, so
+    # its free coordinate is nonzero
     assert lat2235.chi.free != 0
+    for exps, stab in LATTICE_CASES:
+        assert cokernel(build_character_lattice(exps, stab).relation_matrix).free_rank == 1
 
 
 def test_chi_quotient_order_matches_enumeration():

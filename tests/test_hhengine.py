@@ -112,8 +112,22 @@ def test_witness_weight_identities(engine2235):
 
 def test_witnesses_are_canonically_ordered(engine2235):
     row = engine2235.dimension(3, witnesses=True)
-    keys = [w.sort_key() for w in row.witnesses]
+    keys = [w[:3] for w in row.witnesses]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("exps, stabilized", [
+    ((2, 2, 3, 5), True), ((2, 3, 7), True), ((4, 4, 6), True), ((2, 2, 3), False)])
+def test_witnesses_carry_their_group_element(exps, stabilized):
+    """Each witness holds the element of ker(chi) its index names, and each
+    row's witnesses are in their natural tuple order."""
+    engine = HochschildEngine(DiagonalPolynomial(exps, stabilized))
+    report = engine.table(-8, 8, witnesses=True)
+    assert sum(len(row.witnesses) for row in report.dimensions) > 0
+    for row in report.dimensions:
+        assert row.witnesses == tuple(sorted(row.witnesses))
+        for w in row.witnesses:
+            assert w.gamma == engine.kernel[w.gamma_index]
 
 
 # -- ranges ---------------------------------------------------------------------
@@ -375,7 +389,7 @@ def test_closed_forms_fail_without_the_quadratic_pair(exps, dims):
         assert report.dimension(k).dim == counts.get(k, 0) == dim
 
 
-def test_proposition_rejects_nonprime():
+def test_proposition_accepts_composite_exponents():
     """Composite exponents are in the paper's family: k3 = min(p) = 4."""
     report = verify_proposition(DiagonalPolynomial((2, 2, 4, 5), True))
     assert report.status == "pass" and report.reasons == ()
@@ -383,7 +397,7 @@ def test_proposition_rejects_nonprime():
         (0, 3, 3), (3, 12, 12)]
 
 
-def test_proposition_rejects_repeated_prime():
+def test_proposition_accepts_repeated_exponents():
     """Repeated exponents are in the paper's family, a third 2 included."""
     report = verify_proposition(DiagonalPolynomial((2, 2, 3, 3), True))
     assert report.status == "pass" and report.reasons == ()

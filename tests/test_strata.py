@@ -4,9 +4,12 @@ tables against the bounded oracle, which walks every element, and against
 the residue rule, which needs no Jacobi basis."""
 
 import itertools
+import json
+import re
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,33 @@ def test_residue_rule_matches_table():
                 assert [r.dim for r in report.dimensions] == \
                     residue_table(exps, stabilized, k_min, k_max), (exps, stabilized)
     assert instances == 238
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, exps, stabilized", [
+    # |ker chi| = 10^5, which the oracle's scan budget refuses
+    ("hh_10x5_stabilized_wide.csv", (10, 10, 10, 10, 10), True),
+    ("hh_2235_stabilized_witnesses.json", (2, 2, 3, 5), True),
+    ("hh_233_stabilized_witnesses.txt", (2, 3, 3), True),
+    ("hh_223_witnesses.json", (2, 2, 3), False),
+    ("hh_237_stabilized_witnesses.json", (2, 3, 7), True),
+    ("hh_3344_stabilized_witnesses.json", (3, 3, 4, 4), True),
+    ("hh_446_stabilized_witnesses.txt", (4, 4, 6), True),
+])
+def test_residue_rule_matches_golden_files(name, exps, stabilized):
+    """The residue rule reproduces the dimensions stored in each golden file."""
+    text = (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        dims = {row["k"]: row["dim"] for row in json.loads(text)["hh"]}
+    elif name.endswith(".csv"):
+        dims = dict(tuple(map(int, line.split(","))) for line in text.splitlines()[1:])
+    else:  # table rows are "k dim"; witness lines start with "gamma"
+        dims = {int(k): int(d) for k, d in re.findall(r"^ *(-?\d+) +(\d+)$", text, re.M)}
+    ks = sorted(dims)
+    assert ks == list(range(ks[0], ks[-1] + 1))
+    assert residue_table(exps, stabilized, ks[0], ks[-1]) == [dims[k] for k in ks]
 
 
 def test_moving_set_counts_need_no_enumeration(monkeypatch):
