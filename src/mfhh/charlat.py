@@ -11,11 +11,15 @@ lies in the lattice (a new generator together with its defining relation
 would give the same group), so both variants share one presentation and
 differ only in whether z_0 is a variable.
 
-Smith normal form of the relation matrix converts the lattice into canonical
-coordinates: exactly one free integer coordinate (the group is a rank-one
-extension of a finite group) plus torsion coordinates taken modulo the
-invariant factors.  Every weight comparison in the package goes through
-these coordinates, so equality never relies on ad-hoc modular reasoning.
+Weights have closed-form coordinates.  Sending a weight to its degree
+(chi_i to 1/k_i, chi to 1) and to its exponent residues (chi_i to the i-th
+unit vector, chi to 0) embeds the lattice in Q x prod(Z/k_i): the relations
+k_i*chi_i - chi go to zero, and an integer vector whose residues all vanish
+is a combination of them exactly when its degree is 0.  Scaling the degree
+by L = lcm(k_i) makes it an integer, so a weight is the pair
+(L * degree, residues mod k_i), and two weights are equal iff their
+coordinates are.  The Smith normal form of the relation matrix only names
+the group: its invariant factors are the torsion of the lattice.
 
 Variables are indexed 1..N, with index 0 reserved for the stabilizer z_0.
 """
@@ -38,9 +42,9 @@ class AmbiguousGradingError(ValueError):
 class Weight(namedtuple("Weight", "free torsion mods")):
     """A lattice element in canonical coordinates.
 
-    ``free`` is the coordinate along the unique infinite direction;
-    ``torsion[i]`` is stored reduced modulo ``mods[i]``.  Two weights are
-    equal iff their coordinates agree componentwise.
+    ``free`` is L = lcm(k_i) times the degree; ``torsion[i]`` is the residue
+    of the exponent of z_{i+1}, stored reduced modulo ``mods[i]`` = k_{i+1}.
+    Two weights are equal iff their coordinates agree componentwise.
     """
 
     __slots__ = ()
@@ -109,50 +113,31 @@ class CharacterLattice:
 
         # Generator columns: chi_1, ..., chi_N, chi.
         n = self.num_vars
-        self._gen_count = n + 1
         rows = []
         for i, k in enumerate(exps):
-            row = [0] * self._gen_count
+            row = [0] * (n + 1)
             row[i] = k
             row[n] = -1
             rows.append(row)
-        self.relation_matrix = IntMatrix.from_rows(rows, self._gen_count)
-        self.snf = smith_normal_form(self.relation_matrix)
+        self.relation_matrix = IntMatrix.from_rows(rows, n + 1)
+        # The invariant factors >= 2 of the lattice, which ``group`` prints.
+        self.torsion_mods: tuple[int, ...] = tuple(
+            d for d in smith_normal_form(self.relation_matrix).D.diagonal() if d >= 2)
 
-        # Coordinates of x in the quotient Z^g / rowspan(R) are V^T x, after
-        # which the j-th coordinate lives modulo the j-th diagonal entry of D
-        # (1 meaning a dropped one).  The N relation rows are independent, so
-        # all N diagonal entries are nonzero and the one free coordinate is
-        # column n.  chi has degree 1, so its free coordinate is never 0.
-        proj = self.snf.V.transpose().to_rows()
-        diag = self.snf.D.diagonal()
-        self._free_row = proj[n]
-        torsion_cols = [j for j, dj in enumerate(diag) if dj >= 2]
-        self._torsion_rows = [proj[j] for j in torsion_cols]
-        self.torsion_mods: tuple[int, ...] = tuple(diag[j] for j in torsion_cols)
-
-        self._zero = self._weight_from_coords([0] * self._gen_count)
-        self._chi = self._weight_from_gen(n)
-        self._var_weight = {i: self._weight_from_gen(i - 1) for i in range(1, n + 1)}
+        # chi = (L, 0), chi_i = (L/k_i, e_i) and chi_0 = chi - sum(chi_i) =
+        # (L*q_0, (k_i - 1)_i) with q_0 = 1 - sum(1/k_i).  chi has degree 1,
+        # so its free coordinate is never 0.
+        lcm = checked(math.lcm(*exps))
+        self._zero = Weight(0, (0,) * n, exps)
+        self._chi = Weight(lcm, (0,) * n, exps)
+        self._var_weight = {
+            i: Weight(lcm // k, tuple(int(j == i) for j in range(1, n + 1)), exps)
+            for i, k in enumerate(exps, start=1)}
         if self.stabilized:
-            self._var_weight[0] = self._weight_from_coords([-1] * n + [1])
-        for row in self.relation_matrix.to_rows():
-            assert self._weight_from_coords(row).is_zero()
-
-    # -- canonical coordinates ------------------------------------------
-
-    def _weight_from_coords(self, coords) -> Weight:
-        free = checked(sum(a * b for a, b in zip(self._free_row, coords)))
-        torsion = tuple(
-            sum(a * b for a, b in zip(row, coords)) % m
-            for row, m in zip(self._torsion_rows, self.torsion_mods)
-        )
-        return Weight(free, torsion, self.torsion_mods)
-
-    def _weight_from_gen(self, col: int) -> Weight:
-        coords = [0] * self._gen_count
-        coords[col] = 1
-        return self._weight_from_coords(coords)
+            self._var_weight[0] = Weight(checked(lcm - sum(lcm // k for k in exps)),
+                                         tuple(k - 1 for k in exps), exps)
+        # Every relation k_i*chi_i - chi maps to the zero weight.
+        assert all(self._var_weight[i].scaled(k) == self._chi for i, k in enumerate(exps, start=1))
 
     @property
     def chi(self) -> Weight:
@@ -187,15 +172,11 @@ class CharacterLattice:
         return w
 
     def is_multiple_of_chi(self, w: Weight) -> int | None:
-        """Return the unique u with w == u*chi, or None.
-
-        Uniqueness holds because chi has a nonzero free coordinate.
-        """
-        fc = self._chi.free
-        if w.free % fc:
+        """Return the unique u with w == u*chi, or None: every residue of w
+        is 0 and L divides its free coordinate."""
+        if any(w.torsion) or w.free % self._chi.free:
             return None
-        u = w.free // fc
-        return u if w == self._chi.scaled(u) else None
+        return w.free // self._chi.free
 
     def chi0_coset(self, w: Weight) -> tuple[int, ...]:
         """Key of w modulo integer multiples of chi_0: two weights share it
@@ -215,7 +196,7 @@ class CharacterLattice:
             )
         q = w.free // f0
         return (w.free - q * f0,
-                *((t - q * s) % m for t, s, m in zip(w.torsion, t0, self.torsion_mods)))
+                *((t - q * s) % m for t, s, m in zip(w.torsion, t0, w.mods)))
 
     def enumerate_ker_chi(self) -> tuple[GroupElement, ...]:
         """All group elements with trivial chi-value, as phase vectors.
@@ -302,7 +283,7 @@ class CharacterLattice:
     def chi_quotient(self):
         """Structure of the lattice modulo chi; finite, and its order is an
         independent count of ker(chi)."""
-        g = self._gen_count
+        g = self.relation_matrix.cols
         rows = self.relation_matrix.to_rows()
         chi_row = [0] * g
         chi_row[-1] = 1

@@ -28,7 +28,7 @@ class DiagonalPolynomial(namedtuple("DiagonalPolynomial", "exponents stabilized"
             raise ValueError("need at least one exponent")
         if any(k < 2 for k in exponents):
             raise ValueError("every exponent must be >= 2")
-        return super().__new__(cls, exponents, stabilized)
+        return super().__new__(cls, exponents, bool(stabilized))
 
     _make = classmethod(validated_make)
 

@@ -51,7 +51,7 @@ offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
 * a stratum fixing z_0 indexes it by the weight modulo integer multiples
   of chi_0 (``CharacterLattice.chi0_coset``) and looks up the coset of
   target = u * chi - offset.  Every monomial in that bucket has weight
-  + a_0 * chi_0 == target, torsion coordinates included, for the integer
+  + a_0 * chi_0 == target, residues included, for the integer
   a_0 = (target.free - weight.free) / chi_0.free, and counts iff a_0 >= 0.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of

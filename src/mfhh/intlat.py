@@ -8,10 +8,10 @@ is a tripwire for bugs and absurd inputs rather than a real limitation.
 
 The Smith normal form routine is fully deterministic: the pivot is always the
 entry of smallest nonzero absolute value in the active block, ties broken by
-lowest (row, column).  Determinism matters because downstream code derives
-its coordinate system from the transform matrices, not just from the
-diagonal.  Reports do not depend on that choice: they use only the invariant
-factors and equalities between weights.
+lowest (row, column), so its transform matrices are reproducible.  The package
+reads only the diagonal (the invariant factors, for the group structure and
+cokernels); weight coordinates are in closed form (``mfhh.charlat``) and do
+not depend on the transforms.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:

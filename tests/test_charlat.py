@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhh.charlat import AmbiguousGradingError, build_character_lattice
-from mfhh.intlat import cokernel
+from mfhh.intlat import cokernel, smith_normal_form
 
 LATTICE_CASES = [
     ((2,), False),
@@ -24,8 +27,7 @@ def lat2235():
 
 
 def test_free_rank_is_one(lat2235):
-    # the free coordinate is column n by construction; chi has degree 1, so
-    # its free coordinate is nonzero
+    # chi has degree 1, so its free coordinate L * 1 is nonzero
     assert lat2235.chi.free != 0
     for exps, stab in LATTICE_CASES:
         assert cokernel(build_character_lattice(exps, stab).relation_matrix).free_rank == 1
@@ -157,7 +159,7 @@ def test_chi0_coset_torsion_rejection(lat2235):
 
 
 def test_chi0_coset_agrees_with_brute_scan():
-    # chi_0.free is -2, 16 and -142 on these lattices
+    # chi_0.free = L*q_0 is -2, -16 and -142 on these lattices
     for exps in [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7)]:
         lat = build_character_lattice(exps, True)
         chi0 = lat.variable_weight(0)
@@ -190,6 +192,65 @@ def test_stabilizer_free_coordinate_tracks_reciprocal_sum():
     assert build_character_lattice((3, 3, 3), True).variable_weight(0).free == 0
     assert build_character_lattice((2, 2, 3, 5), True).variable_weight(0).free != 0
     assert build_character_lattice((2, 3, 7), True).variable_weight(0).free != 0
+
+
+COORDINATE_MULTISETS = [
+    exps
+    for n in range(1, 6)
+    for exps in itertools.combinations_with_replacement(range(2, 10), n)
+    if math.prod(exps) <= 150
+]
+
+
+def in_relation_span(snf, v):
+    """Whether the integer row vector v lies in the row span of the relation
+    matrix M, read off U @ M @ V = D: the span of M is that of D @ V^-1, so
+    v lies in it iff every entry of v @ V is divisible by the matching
+    diagonal entry of D (and is 0 beyond the diagonal or where it is 0)."""
+    cols = snf.V.cols
+    image = [sum(v[i] * snf.V.entry(i, j) for i in range(cols)) for j in range(cols)]
+    diag = snf.D.diagonal()
+    return all(x % diag[j] == 0 if j < len(diag) and diag[j] else x == 0
+               for j, x in enumerate(image))
+
+
+@pytest.mark.parametrize("stabilized", [False, True])
+def test_closed_form_coordinates_match_the_smith_normal_form(stabilized):
+    """Two integer combinations of chi_1, ..., chi_N, chi have equal weights
+    iff their difference lies in the span of the relations, judged from the
+    Smith normal form, on every small lattice.  The free coordinates are L
+    times the degrees, L = lcm(k_i), so their signs follow the degrees."""
+    rng = random.Random(20211)
+    for exps in COORDINATE_MULTISETS:
+        lat = build_character_lattice(exps, stabilized)
+        n, lcm = len(exps), math.lcm(*exps)
+        gens = [lat.variable_weight(i) for i in range(1, n + 1)] + [lat.chi]
+        snf = smith_normal_form(lat.relation_matrix)
+        relations = lat.relation_matrix.to_rows()
+
+        def weight(v):
+            w = lat.zero_weight()
+            for g, c in zip(gens, v):
+                w = w + g.scaled(c)
+            return w
+
+        assert lat.chi.free == lcm, exps
+        for i, k in enumerate(exps, start=1):
+            assert lat.variable_weight(i).free == lcm // k, exps
+        if stabilized:
+            q0 = 1 - sum(Fraction(1, k) for k in exps)
+            assert lat.variable_weight(0).free == lcm * q0, exps
+        for _ in range(20):
+            x = [rng.randint(-30, 30) for _ in range(n + 1)]
+            # Half the pairs differ by relations alone, so both answers occur.
+            y = list(x)
+            for row in relations:
+                c = rng.randint(-3, 3)
+                y = [a + c * b for a, b in zip(y, row)]
+            if rng.random() < 0.5:
+                y = [a + rng.randint(-2, 2) for a in y]
+            diff = [a - b for a, b in zip(x, y)]
+            assert (weight(x) == weight(y)) == in_relation_span(snf, diff), (exps, x, y)
 
 
 def test_enumeration_order_and_identity():

@@ -78,21 +78,27 @@ GOLDEN = Path(__file__).parent / "data"
      ("hh", "--exponents", "2,3,3", "--stabilize", "--witnesses", "--format", "table")),
     ("hh_223_witnesses.json",
      ("hh", "--exponents", "2,2,3", "--witnesses", "--format", "json")),
-    # chi_0.free = 1: every monomial shares one chi_0-coset; a_0 reaches 168
+    # chi_0.free = L*q_0 = 1: every monomial shares one chi_0-coset; a_0 reaches 168
     ("hh_237_stabilized_witnesses.json",
      ("hh", "--exponents", "2,3,7", "--stabilize", "--k-min", "-8", "--k-max", "8",
       "--witnesses", "--format", "json")),
-    # chi_0.free = 2, with torsion
+    # chi_0.free = -2: coset keys floor-divide by a negative divisor
     ("hh_3344_stabilized_witnesses.json",
      ("hh", "--exponents", "3,3,4,4", "--stabilize", "--k-min", "-10", "--k-max", "10",
       "--witnesses", "--format", "json")),
-    # chi_0.free = -4: coset keys floor-divide by a negative divisor
+    # chi_0.free = 4, with torsion
     ("hh_446_stabilized_witnesses.txt",
      ("hh", "--exponents", "4,4,6", "--stabilize", "--k-min", "-8", "--k-max", "8",
       "--witnesses", "--format", "table")),
+    # The lattice line names the Smith invariant factors; 2,3,5 has none.
+    ("group_2244_stabilized.txt",
+     ("group", "--exponents", "2,2,4,4", "--stabilize")),
+    ("group_235_stabilized.json",
+     ("group", "--exponents", "2,3,5", "--stabilize", "--format", "json")),
 ])
 def test_witness_reports_match_golden_files(name, argv):
-    """Witness lists, their order and their formatting, byte for byte."""
+    """Witness lists, their order and their formatting, and the group
+    reports, byte for byte."""
     code, out = invoke(*argv)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()

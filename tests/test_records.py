@@ -107,6 +107,8 @@ def test_diagonal_polynomial_checks_and_normalizes_exponents():
     with pytest.raises(ValueError):
         p._replace(exponents=(1,))
     assert p._replace(exponents=["7"]).exponents == (7,)
+    assert DiagonalPolynomial((2, 2, 3), 1).stabilized is True
+    assert p._replace(stabilized=1).stabilized is True
 
 
 def test_weight_defines_no_multiplication():
