@@ -26,8 +26,6 @@ from mfhh.hhengine import (
 from mfhh.intlat import (
     AbelianGroupStructure,
     IntegerOverflowError,
-    IntMatrix,
-    SmithDecomposition,
     cokernel,
     smith_normal_form,
 )
@@ -44,11 +42,9 @@ __all__ = [
     "HHContribution",
     "HHReport",
     "HochschildEngine",
-    "IntMatrix",
     "IntegerOverflowError",
     "JacobiBasisElement",
     "PropositionReport",
-    "SmithDecomposition",
     "Weight",
     "build_character_lattice",
     "cokernel",

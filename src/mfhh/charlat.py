@@ -18,8 +18,9 @@ k_i*chi_i - chi go to zero, and an integer vector whose residues all vanish
 is a combination of them exactly when its degree is 0.  Scaling the degree
 by L = lcm(k_i) makes it an integer, so a weight is the pair
 (L * degree, residues mod k_i), and two weights are equal iff their
-coordinates are.  The Smith normal form of the relation matrix only names
-the group: its invariant factors are the torsion of the lattice.
+coordinates are.  The relation matrix (a tuple of integer rows, one per
+k_i*chi_i - chi) only names the group: its Smith invariant factors are the
+torsion of the lattice, whose order is prod(k_i) / L.
 
 Variables are indexed 1..N, with index 0 reserved for the stabilizer z_0.
 """
@@ -31,7 +32,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from mfhh.intlat import IntMatrix, cokernel, checked, smith_normal_form
+from mfhh.intlat import cokernel, checked, smith_normal_form
 
 
 class AmbiguousGradingError(ValueError):
@@ -111,23 +112,23 @@ class CharacterLattice:
             else tuple(range(1, self.num_vars + 1))
         )
 
-        # Generator columns: chi_1, ..., chi_N, chi.
+        # Generator columns: chi_1, ..., chi_N, chi; one row k_i*chi_i - chi
+        # per variable.
         n = self.num_vars
-        rows = []
-        for i, k in enumerate(exps):
-            row = [0] * (n + 1)
-            row[i] = k
-            row[n] = -1
-            rows.append(row)
-        self.relation_matrix = IntMatrix.from_rows(rows, n + 1)
+        self.relation_matrix: tuple[tuple[int, ...], ...] = tuple(
+            tuple(k if j == i else -1 if j == n else 0 for j in range(n + 1))
+            for i, k in enumerate(exps))
         # The invariant factors >= 2 of the lattice, which ``group`` prints.
+        # The torsion is the kernel of prod(Z/k_i) -> Q/Z, n_i -> sum(n_i/k_i),
+        # whose image is (1/L)Z/Z with L = lcm(k_i): its order is prod(k_i) / L.
+        lcm = checked(math.lcm(*exps))
         self.torsion_mods: tuple[int, ...] = tuple(
-            d for d in smith_normal_form(self.relation_matrix).D.diagonal() if d >= 2)
+            d for d in smith_normal_form(self.relation_matrix, n + 1) if d >= 2)
+        assert math.prod(self.torsion_mods) == math.prod(exps) // lcm
 
         # chi = (L, 0), chi_i = (L/k_i, e_i) and chi_0 = chi - sum(chi_i) =
         # (L*q_0, (k_i - 1)_i) with q_0 = 1 - sum(1/k_i).  chi has degree 1,
         # so its free coordinate is never 0.
-        lcm = checked(math.lcm(*exps))
         self._zero = Weight(0, (0,) * n, exps)
         self._chi = Weight(lcm, (0,) * n, exps)
         self._var_weight = {
@@ -283,12 +284,9 @@ class CharacterLattice:
     def chi_quotient(self):
         """Structure of the lattice modulo chi; finite, and its order is an
         independent count of ker(chi)."""
-        g = self.relation_matrix.cols
-        rows = self.relation_matrix.to_rows()
-        chi_row = [0] * g
-        chi_row[-1] = 1
-        rows.append(chi_row)
-        return cokernel(IntMatrix.from_rows(rows, g))
+        g = self.num_vars + 1
+        chi_row = (0,) * (g - 1) + (1,)
+        return cokernel(self.relation_matrix + (chi_row,), g)
 
 
 def build_character_lattice(exponents: Iterable[int], stabilized: bool) -> CharacterLattice:

@@ -1,17 +1,19 @@
-"""Exact integer linear algebra: Smith normal form and cokernel presentations.
+"""Exact integer linear algebra: Smith invariant factors and cokernels.
 
-Matrices are dense and immutable, with plain-integer entries kept inside a
-checked 64-bit window.  An entry that leaves the window raises
-IntegerOverflowError on the spot; nothing ever wraps around.  The lattices
-this library works with have single-digit sizes and tiny entries, so the cap
-is a tripwire for bugs and absurd inputs rather than a real limitation.
+A matrix is given as its rows (sequences of ints) and its column count.
+``smith_normal_form`` eliminates on a working copy of plain Python ints,
+which never overflow, and returns only the diagonal of the Smith normal
+form; it builds no transform matrices.  The package reads that diagonal for
+one thing, the torsion of the character lattice (and, through
+``cokernel``, of its quotient by chi); weight coordinates are in closed form
+(``mfhh.charlat``).
 
-The Smith normal form routine is fully deterministic: the pivot is always the
-entry of smallest nonzero absolute value in the active block, ties broken by
-lowest (row, column), so its transform matrices are reproducible.  The package
-reads only the diagonal (the invariant factors, for the group structure and
-cokernels); weight coordinates are in closed form (``mfhh.charlat``) and do
-not depend on the transforms.
+``checked`` and ``IntegerOverflowError`` guard the exact arithmetic elsewhere
+in the package (weights, lcm, Milnor numbers, the oracle's bounds): a value
+that leaves the 64-bit window raises on the spot instead of growing without
+limit.  The lattices this library works with have single-digit sizes and
+tiny entries, so the cap is a tripwire for bugs and absurd inputs rather
+than a real limitation.
 """
 
 from __future__ import annotations
@@ -42,71 +44,6 @@ def validated_make(cls, iterable):
     return cls(*iterable)
 
 
-class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
-    """Immutable dense integer matrix, entries stored row-major."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match rows*cols")
-        for e in entries:
-            checked(e)
-        return super().__new__(cls, rows, cols, entries)
-
-    _make = classmethod(validated_make)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        nrows = len(rows)
-        if cols is None:
-            cols = len(rows[0]) if nrows else 0
-        flat = []
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(int(e) for e in row)
-        return cls(nrows, cols, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = 0
-                for t in range(self.cols):
-                    acc = checked(acc + checked(self.entry(i, t) * other.entry(t, j)))
-                out.append(acc)
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(self.entry(i, j) == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
-
-
-class SmithDecomposition(namedtuple("SmithDecomposition", "U D V")):
-    """U @ M @ V = D with U, V unimodular and D in Smith normal form."""
-
-    __slots__ = ()
-
-
 class AbelianGroupStructure(namedtuple("AbelianGroupStructure", "free_rank torsion")):
     """A finitely generated abelian group: Z^free_rank + sum of Z/d_i.
 
@@ -135,146 +72,76 @@ class AbelianGroupStructure(namedtuple("AbelianGroupStructure", "free_rank torsi
         return prod(self.torsion)
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = checked(a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> tuple[int, ...]:
+    """Invariant factors of the integer matrix with the given rows.
 
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize ``m`` by unimodular row and column operations.
-
-    Returns (U, D, V) with U @ m @ V = D, the diagonal of D nonnegative and
-    each entry dividing the next.  Pivoting rule: smallest nonzero absolute
-    value in the active block, ties broken by lowest (row, col), so the
-    decomposition (including U and V) is reproducible.
+    Returns the diagonal of its Smith normal form: ``min(len(rows), cols)``
+    nonnegative ints, each dividing the next (zeros last).  Pivoting rule:
+    smallest nonzero absolute value in the active block, ties broken by
+    lowest (row, col).
     """
-    rows, cols = m.rows, m.cols
-    d = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-
-    def swap_rows(i1, i2):
-        d[i1], d[i2] = d[i2], d[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for row in d:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def negate_row(i):
-        d[i] = [checked(-e) for e in d[i]]
-        u[i] = [checked(-e) for e in u[i]]
-
-    def row_sub(dst, src, q):
-        # row dst -= q * row src
-        d[dst] = [checked(a - q * b) for a, b in zip(d[dst], d[src])]
-        u[dst] = [checked(a - q * b) for a, b in zip(u[dst], u[src])]
-
-    def col_sub(dst, src, q):
-        # col dst -= q * col src
-        for row in d:
-            row[dst] = checked(row[dst] - q * row[src])
-        for row in v:
-            row[dst] = checked(row[dst] - q * row[src])
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = d[i][j]
-                if e:
-                    key = (abs(e), i, j)
-                    if best is None or key < best:
-                        best = key
-        return best
+    d = [list(row) for row in rows]
+    if any(len(row) != cols for row in d):
+        raise ValueError("every row must have cols entries")
+    size = min(len(d), cols)
 
     t = 0
-    while t < min(rows, cols):
-        best = find_pivot(t)
-        if best is None:
+    while t < size:
+        best, pi, pj = 0, t, t
+        for i in range(t, len(d)):
+            row = d[i]
+            for j in range(t, cols):
+                if row[j] and (not best or abs(row[j]) < best):
+                    best, pi, pj = abs(row[j]), i, j
+        if not best:
             break
-        _, pi, pj = best
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
+        d[pi], d[t] = d[t], d[pi]
+        for row in d:
+            row[pj], row[t] = row[t], row[pj]
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-e for e in d[t]]
         p = d[t][t]
 
+        # Reduce the pivot column and row; leftover remainders are smaller
+        # than the pivot, so re-pivot on them.
         dirty = False
-        for i in range(t + 1, rows):
-            if d[i][t]:
-                q = d[i][t] // p
-                if q:
-                    row_sub(i, t, q)
-                if d[i][t]:
-                    dirty = True
+        for i in range(t + 1, len(d)):
+            q = d[i][t] // p
+            if q:
+                d[i] = [a - q * b for a, b in zip(d[i], d[t])]
+            dirty = dirty or d[i][t] != 0
         for j in range(t + 1, cols):
-            if d[t][j]:
-                q = d[t][j] // p
-                if q:
-                    col_sub(j, t, q)
-                if d[t][j]:
-                    dirty = True
+            q = d[t][j] // p
+            if q:
+                for row in d:
+                    row[j] -= q * row[t]
+            dirty = dirty or d[t][j] != 0
         if dirty:
-            # Leftover remainders are smaller than the pivot; re-pivot.
             continue
 
-        stain = None
-        for i in range(t + 1, rows):
-            if any(e % p for e in d[i][t + 1:]):
-                stain = i
-                break
+        # Pull a row with an entry the pivot does not divide into the pivot
+        # row, so the next pivot divides it; classical divisibility fix-up.
+        stain = next((i for i in range(t + 1, len(d)) if any(e % p for e in d[i][t + 1:])), None)
         if stain is not None:
-            # Pull the offending row into the pivot row so the next pivot
-            # divides it; classical divisibility fix-up.
-            row_sub(t, stain, -1)
+            d[t] = [a + b for a, b in zip(d[t], d[stain])]
             continue
         t += 1
 
-    U = IntMatrix.from_rows(u, rows)
-    D = IntMatrix.from_rows(d, cols)
-    V = IntMatrix.from_rows(v, cols)
-    assert U @ m @ V == D
-    diag = D.diagonal()
+    diag = tuple(d[i][i] for i in range(size))
     assert all(x >= 0 for x in diag)
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a)
-    return SmithDecomposition(U, D, V)
+    return diag
 
 
-def cokernel(relations: IntMatrix) -> AbelianGroupStructure:
-    """Structure of Z^cols modulo the row span of ``relations``.
+def cokernel(rows: Sequence[Sequence[int]], cols: int) -> AbelianGroupStructure:
+    """Structure of Z^cols modulo the span of ``rows``.
 
     Invariant factors equal to 1 are dropped; zero diagonal entries (and
     missing ones, when there are fewer relations than generators) count
     toward the free rank.
     """
-    snf = smith_normal_form(relations)
-    diag = [x for x in snf.D.diagonal() if x != 0]
+    diag = [x for x in smith_normal_form(rows, cols) if x != 0]
     return AbelianGroupStructure(
-        free_rank=relations.cols - len(diag),
+        free_rank=cols - len(diag),
         torsion=tuple(x for x in diag if x >= 2),
     )

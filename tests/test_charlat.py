@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfhh.charlat import AmbiguousGradingError, build_character_lattice
-from mfhh.intlat import cokernel, smith_normal_form
+from mfhh.intlat import cokernel
 
 LATTICE_CASES = [
     ((2,), False),
@@ -30,7 +30,7 @@ def test_free_rank_is_one(lat2235):
     # chi has degree 1, so its free coordinate L * 1 is nonzero
     assert lat2235.chi.free != 0
     for exps, stab in LATTICE_CASES:
-        assert cokernel(build_character_lattice(exps, stab).relation_matrix).free_rank == 1
+        assert cokernel(build_character_lattice(exps, stab).relation_matrix, len(exps) + 1).free_rank == 1
 
 
 def test_chi_quotient_order_matches_enumeration():
@@ -38,6 +38,71 @@ def test_chi_quotient_order_matches_enumeration():
         lat = build_character_lattice(exps, stab)
         assert lat.chi_quotient().free_rank == 0
         assert lat.chi_quotient().order == len(lat.enumerate_ker_chi())
+
+
+@pytest.mark.parametrize("stabilized", [False, True])
+@pytest.mark.parametrize("exps", [(4, 13, 14, 19), (2, 21, 23, 25)])
+def test_chi_quotient_of_large_multisets(exps, stabilized):
+    """|ker chi| = prod(k_i) on multisets whose Smith elimination once left
+    the 64-bit window (the quotient by chi used to raise Overflow)."""
+    quotient = build_character_lattice(exps, stabilized).chi_quotient()
+    assert quotient.free_rank == 0 and quotient.order == math.prod(exps)
+
+
+@pytest.mark.parametrize("exps, torsion", [
+    ((3, 7, 8, 9, 10, 19), (6,)),
+    ((2, 2, 101, 103, 107, 109), (2,)),
+    ((2, 2, 3, 5, 7, 11, 13, 17, 19, 23), (2,)),
+])
+def test_torsion_of_large_multisets(exps, torsion):
+    lat = build_character_lattice(exps, True)
+    assert lat.torsion_mods == torsion
+    assert lat.chi_quotient().order == math.prod(exps)
+
+
+def multisets(n, lo, hi, budget):
+    """Nondecreasing tuples of n integers in [lo, hi] with product <= budget."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(lo, hi + 1):
+        if k ** n > budget:
+            break
+        for rest in multisets(n - 1, k, hi, budget // k):
+            yield (k, *rest)
+
+
+def closed_form_torsion(exps):
+    """The torsion of the lattice from the prime powers of the k_i: the
+    kernel of prod(Z/k_i) -> Q/Z, n_i -> sum(n_i/k_i), drops, for each
+    prime, one copy of its largest power.  The j-th largest invariant factor
+    is the product over primes of their j-th largest remaining power."""
+    powers = {}
+    for k in exps:
+        p = 2
+        while k > 1:
+            q = 1
+            while k % p == 0:
+                k //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    factors = [1] * len(exps)
+    for qs in powers.values():
+        for j, q in enumerate(sorted(qs, reverse=True)[1:]):
+            factors[j] *= q
+    return tuple(sorted(f for f in factors if f > 1))
+
+
+@pytest.mark.parametrize("stabilized", [False, True])
+def test_torsion_has_a_closed_form(stabilized):
+    """torsion_mods equals the closed form on every multiset with N <= 5,
+    k_i <= 30 and prod(k_i) <= 10^4."""
+    cases = [exps for n in range(1, 6) for exps in multisets(n, 2, 30, 10**4)]
+    assert len(cases) == 18610
+    assert [exps for exps in cases if build_character_lattice(exps, stabilized).torsion_mods
+            != closed_form_torsion(exps)] == []
 
 
 def test_single_quadratic_unstabilized_lattice():
@@ -202,14 +267,15 @@ COORDINATE_MULTISETS = [
 ]
 
 
-def in_relation_span(snf, v):
+def in_relation_span(decomp, v):
     """Whether the integer row vector v lies in the row span of the relation
-    matrix M, read off U @ M @ V = D: the span of M is that of D @ V^-1, so
-    v lies in it iff every entry of v @ V is divisible by the matching
-    diagonal entry of D (and is 0 beyond the diagonal or where it is 0)."""
-    cols = snf.V.cols
-    image = [sum(v[i] * snf.V.entry(i, j) for i in range(cols)) for j in range(cols)]
-    diag = snf.D.diagonal()
+    matrix M, read off sympy's U * M * V = D: the span of M is that of
+    D * V^-1, so v lies in it iff every entry of v * V is divisible by the
+    matching diagonal entry of D (and is 0 beyond the diagonal or where it
+    is 0)."""
+    d, _, vmat = decomp
+    image = [sum(v[i] * int(vmat[i, j]) for i in range(vmat.rows)) for j in range(vmat.cols)]
+    diag = [int(d[i, i]) for i in range(min(d.rows, d.cols))]
     return all(x % diag[j] == 0 if j < len(diag) and diag[j] else x == 0
                for j, x in enumerate(image))
 
@@ -217,16 +283,23 @@ def in_relation_span(snf, v):
 @pytest.mark.parametrize("stabilized", [False, True])
 def test_closed_form_coordinates_match_the_smith_normal_form(stabilized):
     """Two integer combinations of chi_1, ..., chi_N, chi have equal weights
-    iff their difference lies in the span of the relations, judged from the
-    Smith normal form, on every small lattice.  The free coordinates are L
-    times the degrees, L = lcm(k_i), so their signs follow the degrees."""
+    iff their difference lies in the span of the relations, judged from
+    sympy's Smith normal form decomposition, on every small lattice.  The
+    free coordinates are L times the degrees, L = lcm(k_i), so their signs
+    follow the degrees."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_decomp
+
     rng = random.Random(20211)
     for exps in COORDINATE_MULTISETS:
         lat = build_character_lattice(exps, stabilized)
         n, lcm = len(exps), math.lcm(*exps)
         gens = [lat.variable_weight(i) for i in range(1, n + 1)] + [lat.chi]
-        snf = smith_normal_form(lat.relation_matrix)
-        relations = lat.relation_matrix.to_rows()
+        relations = lat.relation_matrix
+        decomp = smith_normal_decomp(Matrix(relations), domain=ZZ)
+        d, u, vmat = decomp
+        assert u * Matrix(relations) * vmat == d and abs(u.det()) == abs(vmat.det()) == 1, exps
 
         def weight(v):
             w = lat.zero_weight()
@@ -250,7 +323,7 @@ def test_closed_form_coordinates_match_the_smith_normal_form(stabilized):
             if rng.random() < 0.5:
                 y = [a + rng.randint(-2, 2) for a in y]
             diff = [a - b for a, b in zip(x, y)]
-            assert (weight(x) == weight(y)) == in_relation_span(snf, diff), (exps, x, y)
+            assert (weight(x) == weight(y)) == in_relation_span(decomp, diff), (exps, x, y)
 
 
 def test_enumeration_order_and_identity():

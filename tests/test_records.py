@@ -12,12 +12,7 @@ import mfhh.intlat
 from mfhh.charlat import build_character_lattice
 from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis
 from mfhh.hhengine import HochschildEngine, verify_proposition
-from mfhh.intlat import (
-    AbelianGroupStructure,
-    IntegerOverflowError,
-    IntMatrix,
-    smith_normal_form,
-)
+from mfhh.intlat import AbelianGroupStructure
 
 P = (2, 2, 3, 5)
 
@@ -29,8 +24,6 @@ def _engine():
 # Each factory builds its record from scratch, so two calls give equal
 # values that share no objects.
 FACTORIES = {
-    "IntMatrix": lambda: IntMatrix(2, 2, (1, 2, 3, 4)),
-    "SmithDecomposition": lambda: smith_normal_form(IntMatrix(2, 2, (2, 4, 6, 8))),
     "AbelianGroupStructure": lambda: AbelianGroupStructure(1, (2, 4)),
     "Weight": lambda: build_character_lattice(P, True).chi,
     "GroupElement": lambda: build_character_lattice(P, True).enumerate_ker_chi()[7],
@@ -68,21 +61,6 @@ def test_record_equality_and_hash_follow_the_value(name):
     a, b = FACTORIES[name](), FACTORIES[name]()
     assert a is not b and a == b and hash(a) == hash(b)
     assert a._replace() == a
-
-
-def test_int_matrix_checks_shape_and_width():
-    with pytest.raises(ValueError):
-        IntMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(ValueError):
-        IntMatrix(-1, 0, ())
-    with pytest.raises(IntegerOverflowError):
-        IntMatrix(1, 1, (2**63,))
-    IntMatrix(1, 1, (2**63 - 1,))
-    m = IntMatrix(1, 1, (0,))
-    with pytest.raises(ValueError):
-        m._replace(rows=2)
-    with pytest.raises(IntegerOverflowError):
-        m._replace(entries=(2**63,))
 
 
 def test_abelian_group_checks_the_chain():
