@@ -79,7 +79,10 @@ def jacobi_basis(lat: CharacterLattice,
     The basis is built one variable at a time, in increasing index order:
     each monomial of the previous list is extended by the powers of the next
     variable, stepping the weight by that variable's degree.  Every monomial
-    other than the unit therefore costs exactly one weight addition.
+    other than the unit therefore costs exactly one weight addition.  This
+    is the oracle's enumeration; the engine lists exponent vectors with
+    closed-form weights instead, so the two reach each monomial's weight
+    independently.
     """
     if 0 in exponents:
         raise ValueError("the stabilizer does not enter a Jacobi ring")

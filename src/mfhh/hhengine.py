@@ -39,19 +39,21 @@ dimension tables therefore never enumerate ker(chi); witnesses do, and each
 Each ``table`` or ``dimension`` call lists the strata after its budgets are
 checked; the engine keeps none of them.
 
-Within a stratum each degree and summand costs one lookup.  A Jacobi basis
-is keyed by the fixed variables of exponent >= 3: a quadratic variable
-contributes only its power 0, so fixed sets that differ only in quadratic
-variables have the same monomials and weights, and share one basis.  Each
-basis is built and indexed per call, on first use, with
-offset = sum(-chi_j, j in M), minus chi_0 for the odd summand:
+Within a stratum each degree and summand costs one lookup.  Each call lists
+the exponent box a_i <= k_i - 2 once, for all fixed sets: a Jacobi monomial
+prod z_i^{a_i} has weight (sum(a_i * L / k_i), a), its residues being its
+exponents, and lies on a stratum's fixed variables iff its support misses
+the moving set (a quadratic variable has only power 0, so it is never in a
+support).  With offset = sum(-chi_j, j in M), minus chi_0 for the odd
+summand:
 
-* a stratum moving z_0 (every stratum when unstabilized) indexes the basis
-  by weight and looks up u * chi - offset;
-* a stratum fixing z_0 indexes it by the weight modulo integer multiples
-  of chi_0 (``CharacterLattice.chi0_coset``) and looks up the coset of
-  target = u * chi - offset.  Every monomial in that bucket has weight
-  + a_0 * chi_0 == target, residues included, for the integer
+* a stratum moving z_0 (every stratum when unstabilized) looks up the one
+  monomial of weight target = u * chi - offset, which has a = target's
+  residues;
+* a stratum fixing z_0 looks up the target's coset modulo integer multiples
+  of chi_0 (``CharacterLattice.chi0_coset``; the box is bucketed by the
+  same key).  Every monomial in that bucket has weight + a_0 * chi_0 ==
+  target, residues included, for the integer
   a_0 = (target.free - weight.free) / chi_0.free, and counts iff a_0 >= 0.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of
@@ -63,6 +65,7 @@ do without consulting the engine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -75,15 +78,15 @@ from mfhh.charlat import (
     Weight,
     build_character_lattice,
 )
-from mfhh.diagpoly import DiagonalPolynomial, JacobiBasisElement, jacobi_basis, milnor_number
+from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis, milnor_number
 from mfhh.intlat import checked
 
 EVEN = "even"
 ODD = "odd"
 
-# Largest prod(k_i) the engine accepts.  That product is both |ker chi| and
-# the total size of the per-stratum Jacobi bases, so it bounds every
-# enumeration the engine or the CLI can start.
+# Largest prod(k_i) the engine accepts.  That product is |ker chi| and
+# exceeds the prod(k_i - 1) exponent vectors a table call lists, so it
+# bounds every enumeration the engine or the CLI can start.
 ELEMENT_BUDGET = 10**5
 
 # Most degrees one table or oracle report may span.  Checked before anything
@@ -198,24 +201,11 @@ class HochschildEngine:
         """Every element of ker(chi); enumerated on first use only."""
         return self.lattice.enumerate_ker_chi()
 
-    def _basis(self, variables: frozenset[int]) -> list[JacobiBasisElement]:
-        """The Jacobi basis on ``variables``, built afresh on every call."""
-        return jacobi_basis(
-            self.lattice, {i: self.polynomial.exponent_of(i) for i in variables})
-
-    def _witness(self, gi: int, gamma: GroupElement, summand: str,
-                 elem: JacobiBasisElement, a0: int, u: int, k: int) -> HHContribution:
-        exps = elem.exponent_map()
-        if self.polynomial.stabilized:
-            exps[0] = a0
-        vector = tuple(exps.get(v, 0) for v in self.polynomial.variables)
-        return HHContribution(gi, summand, vector, u, k, gamma)
-
     def _count(self, ks: Sequence[int], want_witnesses: bool) -> tuple[list[DegreeDimension], int]:
         """Rows for the degrees in ``ks``, and the largest stabilizer power
         a_0 they accepted: each stratum is counted once per degree and
         summand by one index lookup, and weighted by its multiplicity.
-        Strata, bases and indexes live for this call only."""
+        Strata and indexes live for this call only."""
         lat = self.lattice
         strata = lat.moving_set_counts()
         pairs = len(strata) * len(ks)
@@ -225,36 +215,34 @@ class HochschildEngine:
                 f" stratum-degree pairs, more than the budget {STRATUM_DEGREE_BUDGET}")
         chi = lat.chi
         stabilized = self.polynomial.stabilized
+        exps = self.polynomial.exponents
         chi0 = lat.variable_weight(0) if stabilized else None
-        # A quadratic variable adds only its power 0 to a Jacobi basis, so
-        # bases are keyed by the variables of exponent >= 3 alone.
-        non_quadratic = frozenset(i for i in range(1, self.polynomial.num_vars + 1)
-                                  if self.polynomial.exponent_of(i) > 2)
-        basis = cache(self._basis)
-
-        @cache
-        def by_weight(variables: frozenset[int]):
-            """The basis on ``variables`` bucketed by weight."""
-            buckets = {}
-            for elem in basis(variables):
-                buckets.setdefault(elem.weight, []).append(elem)
-            return buckets
-
-        @cache
-        def by_coset(variables: frozenset[int]):
-            """The basis on ``variables`` bucketed by weight modulo chi_0."""
-            buckets = {}
-            for elem in basis(variables):
-                buckets.setdefault(lat.chi0_coset(elem.weight), []).append(elem)
-            return buckets
+        f0 = chi0.free if stabilized else 0
+        if stabilized and f0 == 0:
+            raise AmbiguousGradingError(
+                f"stabilizer degree is torsion for exponents {exps}")
+        # The exponent box, by weight (free, a) and, since the identity fixes
+        # z_0 whenever there is one, by chi0_coset key; a support has bit i for z_i.
+        steps = [chi.free // k for k in exps]
+        bits = [1 << i for i in range(1, len(exps) + 1)]
+        by_weight = {}
+        by_coset = {}
+        for a in itertools.product(*(range(k - 1) for k in exps)):
+            free = sum(x * step for x, step in zip(a, steps))
+            support = sum(bit for x, bit in zip(a, bits) if x)
+            by_weight[free, a] = support
+            if stabilized:
+                q = free // f0
+                key = (free - q * f0, *((x + q) % k for x, k in zip(a, exps)))
+                by_coset.setdefault(key, []).append((a, free, support))
 
         counts = {k: 0 for k in ks}
         max_a0 = 0
-        accepted = {}  # moving set -> [(k, summand, elem, a0, u)]
+        accepted = {}  # moving set -> [(k, summand, exponent vector, u)]
         for moving, mult in strata.items():
             moving_count = len(moving)
             z0_fixed = stabilized and 0 not in moving
-            basis_vars = non_quadratic - moving
+            moving_bits = sum(1 << i for i in moving)
             dual = lat.weight_of_monomial({}, duals=moving)
             summands = [(EVEN, 0, dual)]
             if z0_fixed:
@@ -268,19 +256,21 @@ class HochschildEngine:
                     u = num // 2
                     target = chi.scaled(u) - offset
                     if z0_fixed:
-                        key = lat.chi0_coset(target)
                         hits = []
-                        for elem in by_coset(basis_vars).get(key, ()):
-                            a0 = (target.free - elem.weight.free) // chi0.free
-                            if a0 >= 0:
-                                hits.append((elem, a0))
+                        for a, free, support in by_coset.get(lat.chi0_coset(target), ()):
+                            a0 = (target.free - free) // f0
+                            if a0 >= 0 and not support & moving_bits:
+                                hits.append((a, a0))
                                 if a0 > max_a0:
                                     max_a0 = a0
                     else:
-                        hits = [(elem, 0) for elem in by_weight(basis_vars).get(target, ())]
+                        support = by_weight.get((target.free, target.torsion))
+                        hits = ([(target.torsion, 0)]
+                                if support is not None and not support & moving_bits else [])
                     counts[k] += mult * len(hits)
                     if want_witnesses:
-                        found.extend((k, summand, elem, a0, u) for elem, a0 in hits)
+                        found.extend((k, summand, (a0, *a) if stabilized else a, u)
+                                     for a, a0 in hits)
         wits = {k: [] for k in ks}
         if want_witnesses:
             total = sum(counts.values())
@@ -289,8 +279,8 @@ class HochschildEngine:
                     f"degrees {ks[0]}..{ks[-1]} have {total} witnesses, more than the"
                     f" witness budget {WITNESS_BUDGET}")
             for gi, gamma in enumerate(self.kernel):
-                for k, summand, elem, a0, u in accepted[gamma.moving]:
-                    wits[k].append(self._witness(gi, gamma, summand, elem, a0, u, k))
+                for k, summand, vector, u in accepted[gamma.moving]:
+                    wits[k].append(HHContribution(gi, summand, vector, u, k, gamma))
         rows = [DegreeDimension(k, counts[k], tuple(sorted(wits[k])) if want_witnesses else None)
                 for k in ks]
         return rows, max_a0
@@ -352,7 +342,8 @@ class HochschildEngine:
                     f"stabilizer degree is torsion for exponents {poly.exponents}")
         counts: dict[int, int] = {}
         max_a0 = 0
-        basis = cache(self._basis)
+        basis = cache(lambda fixed: jacobi_basis(
+            lat, {i: poly.exponent_of(i) for i in fixed}))
         duals: dict[frozenset[int], Weight] = {}
         for gamma in self.kernel:
             # Everything below comes from gamma itself, not from the

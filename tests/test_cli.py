@@ -95,6 +95,11 @@ GOLDEN = Path(__file__).parent / "data"
      ("group", "--exponents", "2,2,4,4", "--stabilize")),
     ("group_235_stabilized.json",
      ("group", "--exponents", "2,3,5", "--stabilize", "--format", "json")),
+    # chi_0.free = L*q_0 = 1 over 400 degrees: coset buckets hold many
+    # monomials, and a_0 reaches 178795
+    ("hh_23743_stabilized_wide.csv",
+     ("hh", "--exponents", "2,3,7,43", "--stabilize", "--k-min", "-200", "--k-max", "199",
+      "--format", "csv")),
 ])
 def test_witness_reports_match_golden_files(name, argv):
     """Witness lists, their order and their formatting, and the group

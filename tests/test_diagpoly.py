@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from mfhh.charlat import build_character_lattice
+from mfhh.charlat import Weight, build_character_lattice
 from mfhh.diagpoly import (
     DiagonalPolynomial,
     jacobi_basis,
@@ -68,7 +68,9 @@ def test_jacobi_basis_rejects_stabilizer(lat2235):
 
 def test_jacobi_basis_sizes_over_all_subsets(lat2235):
     """Size, strict lexicographic order and weights of every basis, the
-    weights recomputed from scratch by ``weight_of_monomial``."""
+    weights recomputed from scratch by ``weight_of_monomial`` and in closed
+    form: a monomial with exponent vector a has weight (sum(a_i*L/k_i), a),
+    its residues being its exponents."""
     cases = [(DiagonalPolynomial((2, 2, 3, 5), True), lat2235)]
     big = (2, 2, 5, 7, 11, 13)
     cases.append((DiagonalPolynomial(big, True), build_character_lattice(big, True)))
@@ -82,6 +84,9 @@ def test_jacobi_basis_sizes_over_all_subsets(lat2235):
                 assert all(a < b for a, b in zip(vectors, vectors[1:]))
                 for elem in basis:
                     assert elem.weight == lat.weight_of_monomial(elem.exponent_map())
+                    a = tuple(elem.exponent_map().get(i, 0) for i in range(1, p.num_vars + 1))
+                    free = sum(x * lat.chi.free // k for x, k in zip(a, p.exponents))
+                    assert elem.weight == Weight(free, a, p.exponents)
 
 
 def test_milnor_equals_full_jacobi_dimension(lat2235):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -242,26 +243,32 @@ def test_engine_keeps_no_state():
     assert _state(engine) == before
 
 
-def test_each_basis_is_built_once_per_call(monkeypatch):
-    """verify counts degrees 0 to n in one table call.  On 2,3,3 one fixed set
-    serves both a stratum fixing z_0 and one moving it.  Bases are keyed by
-    the fixed variables of exponent >= 3, so no basis holds a quadratic
-    variable, and the 16 fixed sets of 2,2,3,5 share 4 bases."""
-    built = []
+def test_table_builds_no_jacobi_basis(monkeypatch):
+    """table and dimension count from one box of exponent vectors, in closed
+    form, so they run with jacobi_basis broken; the oracle still builds its
+    bases with it.  Dimensions, max a_0 and a digest of the witnesses (all
+    fields but gamma, which gamma_index names) are the values of the engine
+    that built per-fixed-set bases."""
+    def broken(lat, exponents):
+        raise AssertionError("jacobi_basis called")
 
-    def counting(lat, exponents):
-        built.append(tuple(sorted(exponents.items())))
-        return jacobi_basis(lat, exponents)
-
-    monkeypatch.setattr(mfhh.hhengine, "jacobi_basis", counting)
+    monkeypatch.setattr(mfhh.hhengine, "jacobi_basis", broken)
     assert verify_proposition(DiagonalPolynomial((2, 2, 3, 5), True)).passed
-    assert sorted(built) == [(), ((3, 3),), ((3, 3), (4, 5)), ((4, 5),)]
-    for exps, stabilized in [((2, 3, 3), True), ((2, 2, 2), False), ((2, 2, 2, 3, 5), True),
-                             ((2, 2, 2, 3, 5), False)]:
-        built.clear()
-        HochschildEngine(DiagonalPolynomial(exps, stabilized)).table(-4, 4, witnesses=True)
-        assert built and len(built) == len(set(built))
-        assert all(k != 2 for basis in built for _, k in basis)
+    expected = [
+        ((2, 3, 3), True, [4, 4, 4, 4, 4, 4, 4, 0, 0], 17, "531180829f682a37"),
+        ((2, 2, 2), False, [0, 0, 0, 0, 1, 0, 0, 0, 0], 0, "c99f3901a5ca9085"),
+        ((2, 2, 2, 3, 5), True, [0, 0, 0, 0, 1, 1, 0, 0, 8], 1, "881fae8468240b9b"),
+        ((2, 2, 2, 3, 5), False, [0, 0, 0, 0, 1, 0, 0, 0, 0], 0, "cb7651ac4b6e100f"),
+    ]
+    for exps, stabilized, dims, max_a0, digest in expected:
+        engine = HochschildEngine(DiagonalPolynomial(exps, stabilized))
+        report = engine.table(-4, 4, witnesses=True)
+        rows = [(r.degree, r.dim, [w[:5] for w in r.witnesses]) for r in report.dimensions]
+        assert [r.dim for r in report.dimensions] == dims and report.max_a0 == max_a0
+        assert hashlib.sha256(repr((rows, max_a0)).encode()).hexdigest()[:16] == digest
+        assert engine.dimension(4).dim == dims[8]
+        with pytest.raises(AssertionError, match="jacobi_basis called"):
+            engine.bruteforce_table(1, 4)
 
 
 # -- strata moving z_0 -----------------------------------------------------------------

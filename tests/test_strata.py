@@ -113,6 +113,7 @@ GOLDEN = Path(__file__).parent / "data"
     ("hh_237_stabilized_witnesses.json", (2, 3, 7), True),
     ("hh_3344_stabilized_witnesses.json", (3, 3, 4, 4), True),
     ("hh_446_stabilized_witnesses.txt", (4, 4, 6), True),
+    ("hh_23743_stabilized_wide.csv", (2, 3, 7, 43), True),
 ])
 def test_residue_rule_matches_golden_files(name, exps, stabilized):
     """The residue rule reproduces the dimensions stored in each golden file."""
