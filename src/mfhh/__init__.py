@@ -25,7 +25,6 @@ from mfhh.hhengine import (
 )
 from mfhh.intlat import (
     AbelianGroupStructure,
-    IntegerOverflowError,
     cokernel,
     smith_normal_form,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "HHContribution",
     "HHReport",
     "HochschildEngine",
-    "IntegerOverflowError",
     "JacobiBasisElement",
     "PropositionReport",
     "Weight",

@@ -32,7 +32,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from mfhh.intlat import cokernel, checked, smith_normal_form
+from mfhh.intlat import cokernel, smith_normal_form
 
 
 class AmbiguousGradingError(ValueError):
@@ -56,18 +56,18 @@ class Weight(namedtuple("Weight", "free torsion mods")):
 
     def __add__(self, other: Weight) -> Weight:
         self._require_same_lattice(other)
-        return Weight(checked(self.free + other.free),
+        return Weight(self.free + other.free,
                       tuple((a + b) % m for a, b, m in zip(self.torsion, other.torsion, self.mods)),
                       self.mods)
 
     def __sub__(self, other: Weight) -> Weight:
         self._require_same_lattice(other)
-        return Weight(checked(self.free - other.free),
+        return Weight(self.free - other.free,
                       tuple((a - b) % m for a, b, m in zip(self.torsion, other.torsion, self.mods)),
                       self.mods)
 
     def scaled(self, n: int) -> Weight:
-        return Weight(checked(self.free * n),
+        return Weight(self.free * n,
                       tuple((a * n) % m for a, m in zip(self.torsion, self.mods)),
                       self.mods)
 
@@ -121,7 +121,7 @@ class CharacterLattice:
         # The invariant factors >= 2 of the lattice, which ``group`` prints.
         # The torsion is the kernel of prod(Z/k_i) -> Q/Z, n_i -> sum(n_i/k_i),
         # whose image is (1/L)Z/Z with L = lcm(k_i): its order is prod(k_i) / L.
-        lcm = checked(math.lcm(*exps))
+        lcm = math.lcm(*exps)
         self.torsion_mods: tuple[int, ...] = tuple(
             d for d in smith_normal_form(self.relation_matrix, n + 1) if d >= 2)
         assert math.prod(self.torsion_mods) == math.prod(exps) // lcm
@@ -135,7 +135,7 @@ class CharacterLattice:
             i: Weight(lcm // k, tuple(int(j == i) for j in range(1, n + 1)), exps)
             for i, k in enumerate(exps, start=1)}
         if self.stabilized:
-            self._var_weight[0] = Weight(checked(lcm - sum(lcm // k for k in exps)),
+            self._var_weight[0] = Weight(lcm - sum(lcm // k for k in exps),
                                          tuple(k - 1 for k in exps), exps)
         # Every relation k_i*chi_i - chi maps to the zero weight.
         assert all(self._var_weight[i].scaled(k) == self._chi for i, k in enumerate(exps, start=1))

@@ -17,17 +17,17 @@ Subcommands:
 Reports contain only exact integers and reduced fraction strings; JSON
 output is canonical (fixed key order, no whitespace) so re-serializing a
 parsed report reproduces it byte for byte.  Exit codes: 1 for usage errors,
-4 when a computation aborts on Overflow, AmbiguousGrading or Budget (the
-error name goes to stderr).  Budget is checked before anything is
-enumerated: every subcommand that builds the engine (all but ``milnor``)
-refuses instances with prod(k_i) = |ker chi| above 10^5; ``hh`` and
-``oracle`` refuse degree windows of more than 10^4 degrees, and windows
-whose degrees times moving-set strata exceed 2*10^6 (checked before any
-stratum is built); ``hh --witnesses`` refuses windows with more than 10^5
-witnesses (checked after counting, before the group is enumerated);
-``oracle`` refuses scan windows (given or derived) that need more than 10^7
-weight lookups.  These bound the size of every enumeration and scan, not its
-time.
+4 when a computation aborts on AmbiguousGrading or Budget (the error name
+goes to stderr).  Budget is checked before anything is enumerated: every
+subcommand that builds the engine (all but ``milnor``) refuses instances
+with prod(k_i) = |ker chi| above 10^5; ``hh`` and ``oracle`` refuse degree
+windows of more than 10^4 degrees, and windows whose degrees times
+moving-set strata exceed 2*10^6 (checked before any stratum is built);
+``hh --witnesses`` refuses windows with more than 10^5 witnesses (checked
+after counting, before the group is enumerated); ``oracle`` refuses scan
+windows (given or derived) that need more than 10^7 weight lookups;
+``milnor`` refuses a Milnor number longer than Python prints (4300 digits by
+default).  These bound the size of every enumeration and scan, not its time.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from mfhh.hhengine import (
     oracle_bounds,
     verify_proposition,
 )
-from mfhh.intlat import IntegerOverflowError
 
 
 class _UsageError(Exception):
@@ -237,6 +236,10 @@ def cmd_group(args, out) -> int:
 
 def cmd_milnor(args, out) -> int:
     mu = milnor_number(DiagonalPolynomial(args.exponents, args.stabilize))
+    try:
+        text = str(mu)
+    except ValueError as exc:  # Python converts no int of more than 4300 digits by default
+        raise BudgetExceededError(f"the Milnor number is too long to print ({exc})") from None
     if args.fmt == "json":
         payload = {
             "exponents": list(args.exponents),
@@ -245,7 +248,7 @@ def cmd_milnor(args, out) -> int:
         }
         print(canonical_json(payload), file=out)
     else:
-        print(mu, file=out)
+        print(text, file=out)
     return 0
 
 
@@ -312,8 +315,7 @@ def cmd_oracle(args, out) -> int:
 
 
 # Errors that abort a computation with exit 4, and the name printed for each.
-_ABORTS = {IntegerOverflowError: "Overflow", AmbiguousGradingError: "AmbiguousGrading",
-           BudgetExceededError: "Budget"}
+_ABORTS = {AmbiguousGradingError: "AmbiguousGrading", BudgetExceededError: "Budget"}
 
 
 def run(argv, out=None) -> int:

@@ -9,11 +9,12 @@ cohomology bookkeeping downstream concentrated in a single Koszul degree.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
 from mfhh.charlat import CharacterLattice
-from mfhh.intlat import checked, validated_make
+from mfhh.intlat import validated_make
 
 
 class DiagonalPolynomial(namedtuple("DiagonalPolynomial", "exponents stabilized")):
@@ -61,10 +62,7 @@ class JacobiBasisElement(namedtuple("JacobiBasisElement", "exponents weight")):
 
 def milnor_number(p: DiagonalPolynomial) -> int:
     """prod(k_i - 1) over the polynomial variables (stabilizer excluded)."""
-    mu = 1
-    for k in p.exponents:
-        mu = checked(mu * (k - 1))
-    return mu
+    return math.prod(k - 1 for k in p.exponents)
 
 
 def jacobi_basis(lat: CharacterLattice,

@@ -7,13 +7,6 @@ form; it builds no transform matrices.  The package reads that diagonal for
 one thing, the torsion of the character lattice (and, through
 ``cokernel``, of its quotient by chi); weight coordinates are in closed form
 (``mfhh.charlat``).
-
-``checked`` and ``IntegerOverflowError`` guard the exact arithmetic elsewhere
-in the package (weights, lcm, Milnor numbers, the oracle's bounds): a value
-that leaves the 64-bit window raises on the spot instead of growing without
-limit.  The lattices this library works with have single-digit sizes and
-tiny entries, so the cap is a tripwire for bugs and absurd inputs rather
-than a real limitation.
 """
 
 from __future__ import annotations
@@ -21,21 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from math import prod
-
-ENTRY_LIMIT = 2**63 - 1
-
-
-class IntegerOverflowError(ArithmeticError):
-    """An exact integer computation left the checked 64-bit range."""
-
-
-def checked(value: int) -> int:
-    """Return ``value`` unchanged, or raise if it exceeds the checked width."""
-    if value > ENTRY_LIMIT or value < -ENTRY_LIMIT:
-        raise IntegerOverflowError(
-            f"integer {value} exceeds the checked 64-bit width"
-        )
-    return value
 
 
 def validated_make(cls, iterable):

@@ -278,11 +278,16 @@ def test_exponents_below_two_rejected():
     assert invoke("milnor", "--exponents", "2,1")[0] == 1
 
 
-def test_overflow_exit_code(capsys):
-    code, _ = invoke("milnor", "--exponents",
-                     f"{2**40},{2**40}")
-    assert code == 4
-    assert "Overflow" in capsys.readouterr().err
+def test_milnor_past_64_bits_exits_zero():
+    code, out = invoke("milnor", "--exponents", f"{2**40},{2**40}")
+    assert (code, out) == (0, "1208925819612430151450625\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_milnor_too_long_to_print_is_refused(fmt, capsys):
+    huge = "1" + "0" * 2200
+    assert invoke("milnor", "--exponents", f"{huge},{huge}", "--format", fmt) == (4, "")
+    assert capsys.readouterr().err.startswith("Budget: the Milnor number is too long to print")
 
 
 def test_ambiguous_grading_exit_code(capsys):

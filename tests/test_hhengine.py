@@ -313,6 +313,44 @@ def test_only_the_identity_and_full_moving_strata_count_without_fixed_z0():
     assert (instances, witnesses, moving_z0) == (238, 6176, 2819)
 
 
+# -- far degrees -------------------------------------------------------------------
+
+def test_far_degrees_repeat_the_periodic_tail():
+    """Windows past 2^63 answer, with the table's periodic tail.
+
+    With L = lcm(k_i) and Q0 = L - sum(L / k_i) = L * q_0, the shift
+    a_0 -> a_0 + L keeps every residue and moves the degree by
+    P = 2 * Q0.  In a degree beyond B = 2(|Q0| + N) + N + 1 on Q0's side
+    every contribution has a_0 >= L, so the shift maps the contributions
+    one degree P nearer 0 onto them: the table repeats with period P
+    there.  So the windows of P degrees at K = +-2^63 and +-(2^64 + 7)
+    equal the window at the K0 = K (mod P) just beyond B, on every
+    stabilized multiset with N <= 4, k <= 9, prod(k) <= 300, Q0 != 0 and
+    P <= 10^4."""
+    checks = 0
+    for size in range(1, 5):
+        for exps in itertools.combinations_with_replacement(range(2, 10), size):
+            lcm = math.lcm(*exps)
+            q0 = lcm - sum(lcm // k for k in exps)
+            period = 2 * abs(q0)
+            if math.prod(exps) > 300 or not 0 < period <= 10**4:
+                continue
+            engine = HochschildEngine(DiagonalPolynomial(exps, True))
+            bound = 2 * (abs(q0) + size) + size + 1
+            for far in (2**63, 2**64 + 7):
+                if q0 > 0:
+                    k = far
+                    k0 = bound + 1 + (k - bound - 1) % period
+                else:
+                    k = -far
+                    k0 = -bound - period - (-bound - period - k) % period
+                dims = [row.dim for row in engine.table(k, k + period - 1).dimensions]
+                tail = [row.dim for row in engine.table(k0, k0 + period - 1).dimensions]
+                assert dims == tail, (exps, k, k0)
+                checks += 1
+    assert checks == 450
+
+
 # -- unstabilized sanity -----------------------------------------------------------
 
 @pytest.mark.parametrize("exps", [(5,), (2, 3)])

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from mfhh.charlat import build_character_lattice
 from mfhh.intlat import (
     AbelianGroupStructure,
-    IntegerOverflowError,
-    checked,
     cokernel,
     smith_normal_form,
 )
@@ -136,14 +134,6 @@ def test_group_order():
     assert AbelianGroupStructure(0, ()).order == 1
     with pytest.raises(ValueError):
         AbelianGroupStructure(1, ()).order
-
-
-def test_entry_width_is_checked():
-    checked(2**63 - 1)
-    with pytest.raises(IntegerOverflowError):
-        checked(2**63)
-    with pytest.raises(IntegerOverflowError):
-        checked(-2**63)
 
 
 def test_snf_entries_are_unbounded():
