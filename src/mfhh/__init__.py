@@ -10,7 +10,6 @@ from mfhh.charlat import (
 )
 from mfhh.diagpoly import (
     DiagonalPolynomial,
-    JacobiBasisElement,
     jacobi_basis,
     milnor_number,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "HHContribution",
     "HHReport",
     "HochschildEngine",
-    "JacobiBasisElement",
     "PropositionReport",
     "Weight",
     "build_character_lattice",

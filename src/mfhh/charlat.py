@@ -172,13 +172,6 @@ class CharacterLattice:
             w = w - self.variable_weight(j)
         return w
 
-    def is_multiple_of_chi(self, w: Weight) -> int | None:
-        """Return the unique u with w == u*chi, or None: every residue of w
-        is 0 and L divides its free coordinate."""
-        if any(w.torsion) or w.free % self._chi.free:
-            return None
-        return w.free // self._chi.free
-
     def chi0_coset(self, w: Weight) -> tuple[int, ...]:
         """Key of w modulo integer multiples of chi_0: two weights share it
         iff they differ by a*chi_0 for some integer a.

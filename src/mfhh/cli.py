@@ -25,7 +25,7 @@ windows of more than 10^4 degrees, and windows whose degrees times
 moving-set strata exceed 2*10^6 (checked before any stratum is built);
 ``hh --witnesses`` refuses windows with more than 10^5 witnesses (checked
 after counting, before the group is enumerated); ``oracle`` refuses scan
-windows (given or derived) that need more than 10^7 weight lookups;
+windows (given or derived) that need more than 10^7 degree-equation tests;
 ``milnor`` refuses a Milnor number longer than Python prints (4300 digits by
 default).  These bound the size of every enumeration and scan, not its time.
 """
@@ -177,14 +177,21 @@ def _hh_payload(report: HHReport):
     }
 
 
+def _width(minimum: int, values) -> int:
+    """Width of a table column: its longest entry, and at least ``minimum``."""
+    return max([minimum, *(len(str(v)) for v in values)])
+
+
 def _print_hh_table(report: HHReport, out):
     print(_header_line(report.exponents, report.stabilized), file=out)
     print(f"|ker chi| : {report.kerchi_order}", file=out)
     print(f"milnor    : {report.milnor}", file=out)
     print(f"engine    : {report.engine}", file=out)
-    print(f"{'k':>5} {'dim':>8}", file=out)
+    kw = _width(5, (row.degree for row in report.dimensions))
+    dw = _width(8, (row.dim for row in report.dimensions))
+    print(f"{'k':>{kw}} {'dim':>{dw}}", file=out)
     for row in report.dimensions:
-        print(f"{row.degree:>5} {row.dim:>8}", file=out)
+        print(f"{row.degree:>{kw}} {row.dim:>{dw}}", file=out)
         if row.witnesses:
             for w in row.witnesses:
                 phases = ",".join(_phase_strings(w.gamma))
@@ -304,10 +311,13 @@ def cmd_oracle(args, out) -> int:
     else:
         print(_header_line(args.exponents, args.stabilize), file=out)
         print(f"bounds    : a0 <= {a0_bound}, |u| <= {u_bound}", file=out)
-        print(f"{'k':>5} {'engine':>8} {'oracle':>8}  agree", file=out)
+        kw = _width(5, (row.degree for row in closed.dimensions))
+        ew = _width(8, (row.dim for row in closed.dimensions))
+        ow = _width(8, (row.dim for row in oracle.dimensions))
+        print(f"{'k':>{kw}} {'engine':>{ew}} {'oracle':>{ow}}  agree", file=out)
         for c, o in zip(closed.dimensions, oracle.dimensions):
-            print(f"{c.degree:>5} {c.dim:>8} {o.dim:>8}  {'yes' if c.dim == o.dim else 'NO'}",
-                  file=out)
+            print(f"{c.degree:>{kw}} {c.dim:>{ew}} {o.dim:>{ow}}"
+                  f"  {'yes' if c.dim == o.dim else 'NO'}", file=out)
         print(f"status    : {'agree' if not mismatches else 'DISAGREE'}", file=out)
     for k, c, o in mismatches:
         print(f"oracle mismatch at k={k}: engine {c}, oracle {o}", file=sys.stderr)

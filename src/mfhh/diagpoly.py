@@ -1,4 +1,4 @@
-"""Diagonal polynomial data: Milnor number and graded monomial bases of
+"""Diagonal polynomial data: Milnor number and monomial bases of
 Jacobi rings.
 
 Only diagonal polynomials sum(z_i^{k_i}) are representable.  Every
@@ -13,7 +13,6 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from mfhh.charlat import CharacterLattice
 from mfhh.intlat import validated_make
 
 
@@ -50,48 +49,24 @@ class DiagonalPolynomial(namedtuple("DiagonalPolynomial", "exponents stabilized"
         return self.exponents[i - 1]
 
 
-class JacobiBasisElement(namedtuple("JacobiBasisElement", "exponents weight")):
-    """A monomial basis element of a Jacobi ring: exponents (var, power)
-    with 0 <= power <= k_var - 2, together with its canonical weight."""
-
-    __slots__ = ()
-
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.exponents)
-
-
 def milnor_number(p: DiagonalPolynomial) -> int:
     """prod(k_i - 1) over the polynomial variables (stabilizer excluded)."""
     return math.prod(k - 1 for k in p.exponents)
 
 
-def jacobi_basis(lat: CharacterLattice,
-                 exponents: Mapping[int, int]) -> list[JacobiBasisElement]:
+def jacobi_basis(exponents: Mapping[int, int]) -> list[tuple[tuple[int, int], ...]]:
     """Monomial basis of the Jacobi ring of a diagonal sub-polynomial.
 
     ``exponents`` maps a subset S of polynomial variable indices to their
-    powers; the basis consists of all monomials with 0 <= a_i <= k_i - 2 for
-    i in S, in lexicographic order, each with its weight.  The empty subset
-    yields the unit monomial alone.
-
-    The basis is built one variable at a time, in increasing index order:
-    each monomial of the previous list is extended by the powers of the next
-    variable, stepping the weight by that variable's degree.  Every monomial
-    other than the unit therefore costs exactly one weight addition.  This
-    is the oracle's enumeration; the engine lists exponent vectors with
-    closed-form weights instead, so the two reach each monomial's weight
-    independently.
+    powers k_i; the basis consists of all monomials with 0 <= a_i <= k_i - 2
+    for i in S, each given as its exponents ((i, a_i) for i in S, in
+    increasing index order), in lexicographic order.  The empty subset
+    yields the unit monomial () alone.  Only the oracle enumerates bases;
+    the engine counts exponent vectors in closed form.
     """
     if 0 in exponents:
         raise ValueError("the stabilizer does not enter a Jacobi ring")
-    terms = [((), lat.zero_weight())]
+    basis = [()]
     for i in sorted(exponents):
-        step = lat.variable_weight(i)
-        extended = []
-        for exps, weight in terms:
-            extended.append((exps + ((i, 0),), weight))
-            for a in range(1, exponents[i] - 1):
-                weight = weight + step
-                extended.append((exps + ((i, a),), weight))
-        terms = extended
-    return [JacobiBasisElement(exps, weight) for exps, weight in terms]
+        basis = [mono + ((i, a),) for mono in basis for a in range(exponents[i] - 1)]
+    return basis

@@ -58,8 +58,16 @@ chi_0 for the odd summand, and target = u * chi - offset:
   a_0 = (target.free - weight.free) / chi_0.free, and counts iff a_0 >= 0.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of
-ker(chi), scans a_0 over a finite window and tests the degree equation
-directly, keeping the chi-multiples u inside a second window; it must agree
+ker(chi), every Jacobi monomial on its fixed variables and a_0 over a finite
+window, and tests the degree equation in plain integers, without the weight
+algebra above: with L = lcm(k_i), f_0 = L - sum(L / k_i), c_i = a_i on fixed
+and -1 on moving polynomial variables, and c_0 = a_0 - shift when z_0 is
+fixed, -1 when it moves and 0 unstabilized, the term's weight
+sum(c_i chi_i) + c_0 chi_0 is u * chi iff
+
+    sum(c_i * L / k_i) + c_0 * f_0 == u * L  and  c_i == c_0 (mod k_i) for all i.
+
+It keeps the u inside a second window, and must agree with the engine
 whenever its bounds dominate, which the a-priori bounds of `oracle_bounds`
 do without consulting the engine.
 """
@@ -76,7 +84,6 @@ from mfhh.charlat import (
     AmbiguousGradingError,
     CharacterLattice,
     GroupElement,
-    Weight,
     build_character_lattice,
 )
 from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis, milnor_number
@@ -93,7 +100,7 @@ ELEMENT_BUDGET = 10**5
 # is allocated per degree.
 DEGREE_BUDGET = 10**4
 
-# Most weight lookups one oracle recount may make.
+# Most degree-equation tests one oracle recount may make.
 SCAN_BUDGET = 10**7
 
 # Most (stratum, degree) pairs one table may count.  Many small exponents
@@ -151,6 +158,18 @@ class HHReport(namedtuple("HHReport", "exponents stabilized kerchi_order milnor 
         return self.dimensions[k - self.k_min]
 
 
+def _scaled_stabilizer_degree(exponents: Sequence[int]) -> tuple[int, int]:
+    """(L, f_0) with L = lcm(k_i) and f_0 = L - sum(L / k_i): L times the
+    degree q_0 = 1 - sum(1/k_i) of z_0, an integer.  Raises
+    AmbiguousGradingError when it is 0."""
+    lcm = math.lcm(*exponents)
+    f0 = lcm - sum(lcm // k for k in exponents)
+    if f0 == 0:
+        raise AmbiguousGradingError(
+            f"stabilizer degree is torsion for exponents {tuple(exponents)}")
+    return lcm, f0
+
+
 def oracle_bounds(exponents: Sequence[int], stabilized: bool,
                   k_min: int, k_max: int) -> tuple[int, int]:
     """Scan windows (a0_bound, u_bound) for `bruteforce_table` that contain
@@ -158,7 +177,7 @@ def oracle_bounds(exponents: Sequence[int], stabilized: bool,
     degree equation alone, never from the engine being checked.
 
     Send chi_i to q_i = 1/k_i and chi to 1, so chi_0 goes to
-    q_0 = 1 - sum(q_i).  A contribution to degree k has
+    q_0 = 1 - sum(q_i) = f_0 / L.  A contribution to degree k has
     u = (k - #moving - shift) / 2 with #moving <= N + 1 and shift <= 1, so
     |u| <= U = (K + N + 2) // 2 with K = max(|k_min|, |k_max|).  In its
     degree equation
@@ -166,19 +185,15 @@ def oracle_bounds(exponents: Sequence[int], stabilized: bool,
         a_0 q_0 = u - sum(a_i q_i, i fixed) + sum(q_j, j moving) + shift q_0
 
     each polynomial variable contributes less than 1 in absolute value
-    (a_i <= k_i - 2 and q_j <= 1/2), hence a_0 <= (U + N) / |q_0| + 1.
+    (a_i <= k_i - 2 and q_j <= 1/2), hence
+    a_0 <= (U + N) / |q_0| + 1 = (U + N) L / |f_0| + 1.
     """
     n = len(exponents)
     u_bound = (max(abs(k_min), abs(k_max)) + n + 2) // 2
     if not stabilized:
         return 0, u_bound
-    from fractions import Fraction  # here, so importing mfhh loads no fractions/decimal
-
-    q0 = abs(1 - sum(Fraction(1, k) for k in exponents))
-    if q0 == 0:
-        raise AmbiguousGradingError(
-            f"stabilizer degree is torsion for exponents {tuple(exponents)}")
-    return math.floor((u_bound + n) / q0) + 1, u_bound
+    lcm, f0 = _scaled_stabilizer_degree(exponents)
+    return (u_bound + n) * lcm // abs(f0) + 1, u_bound
 
 
 class HochschildEngine:
@@ -308,13 +323,14 @@ class HochschildEngine:
         multiplicities): each Jacobi monomial on gamma's fixed variables,
         summand and a_0 in [0, a0_bound] (only 0 when gamma moves z_0)
         counts in degree 2u + #moving + shift iff the degree equation holds
-        for some u with |u| <= u_bound, tested directly on the weight.
+        for some u with |u| <= u_bound, tested in plain integers (see the
+        module docstring), not with the lattice's weights.
 
         Returns (counts by degree, max accepted a_0).  Degrees absent from
         the dict have count 0 within the scanned windows.  Raises
         AmbiguousGradingError when chi_0 is torsion, since the count would
         then grow with a0_bound, and BudgetExceededError before scanning when
-        the windows need more than SCAN_BUDGET lookups.
+        the windows need more than SCAN_BUDGET tests.
         """
         if a0_bound < 0 or u_bound < 0:
             raise ValueError("scan bounds must be nonnegative")
@@ -327,43 +343,43 @@ class HochschildEngine:
         if steps > SCAN_BUDGET:
             raise BudgetExceededError(
                 f"oracle scan needs {steps} lookups, more than the scan budget {SCAN_BUDGET}")
-        lat = self.lattice
-        fc = lat.chi.free
-        chi0, f0 = None, 0
-        if poly.stabilized:
-            chi0 = lat.variable_weight(0)
-            f0 = chi0.free
-            if f0 == 0:
-                raise AmbiguousGradingError(
-                    f"stabilizer degree is torsion for exponents {poly.exponents}")
+        exps = poly.exponents
+        lcm, f0 = _scaled_stabilizer_degree(exps) if poly.stabilized else (math.lcm(*exps), 0)
+        # (shift, c_0 values): c_0 = a_0 - shift with a_0 in [0, a0_bound] when
+        # gamma fixes z_0; otherwise a_0 = shift = 0, and c_0 = -1 when gamma
+        # moves z_0 and 0 unstabilized.
+        z0_fixed_walks = ((0, range(a0_bound + 1)), (1, range(-1, a0_bound)))
+        other_walks = ((0, (-1 if poly.stabilized else 0,)),)
+
+        @cache
+        def terms(fixed):
+            """(sum(c_i * L / k_i), ((c_i, k_i) for every i)) per Jacobi
+            monomial on the fixed polynomial variables."""
+            moved = tuple((-1, k) for i, k in enumerate(exps, start=1) if i not in fixed)
+            cs = [moved + tuple((a, exps[i - 1]) for i, a in mono)
+                  for mono in jacobi_basis({i: exps[i - 1] for i in fixed})]
+            return [(sum(c * (lcm // k) for c, k in row), row) for row in cs]
+
         counts: dict[int, int] = {}
         max_a0 = 0
-        basis = cache(lambda fixed: jacobi_basis(
-            lat, {i: poly.exponent_of(i) for i in fixed}))
-        duals: dict[frozenset[int], Weight] = {}
         for gamma in self.kernel:
             # Everything below comes from gamma itself, not from the
             # engine's strata, so a wrong stratum cannot repeat here.
             z0_fixed = 0 in gamma.fixed
-            a0_max = a0_bound if z0_fixed else 0
             moving_count = len(gamma.moving)
-            dual = duals.get(gamma.moving)
-            if dual is None:
-                dual = duals[gamma.moving] = lat.weight_of_monomial({}, duals=gamma.moving)
-            for elem in basis(gamma.fixed - {0}):
-                base = elem.weight + dual
-                for shift in (0, 1) if z0_fixed else (0,):
-                    start = base - chi0 if shift else base
-                    for a0 in range(a0_max + 1):
-                        # A multiple of chi has a multiple of chi's free coordinate.
-                        if (start.free + a0 * f0) % fc:
+            walks = z0_fixed_walks if z0_fixed else other_walks
+            for base, cs in terms(gamma.fixed - {0}):
+                for shift, c0s in walks:
+                    for c0 in c0s:
+                        free = base + c0 * f0
+                        if free % lcm or any((c - c0) % m for c, m in cs):
                             continue
-                        u = lat.is_multiple_of_chi(start + chi0.scaled(a0) if a0 else start)
-                        if u is not None and abs(u) <= u_bound:
+                        u = free // lcm
+                        if abs(u) <= u_bound:
                             k = 2 * u + moving_count + shift
                             counts[k] = counts.get(k, 0) + 1
-                            if a0 > max_a0:
-                                max_a0 = a0
+                            if z0_fixed and c0 + shift > max_a0:
+                                max_a0 = c0 + shift
         return counts, max_a0
 
     def bruteforce_report(self, k_min: int, k_max: int,

@@ -147,12 +147,6 @@ def test_criterion_7_property_suites(engines):
         assert (lat.weight_of_monomial(a) + lat.weight_of_monomial(b)
                 == lat.weight_of_monomial(total))
 
-    # is_multiple_of_chi round trip.
-    for exps, _, _ in PROPOSITION_INSTANCES:
-        lattice = engines[exps].lattice
-        for u in range(-20, 21):
-            assert lattice.is_multiple_of_chi(lattice.chi.scaled(u)) == u
-
     # Determinism under --parallel N.
     argv = ["hh", "--exponents", "2,2,3,5", "--stabilize", "--k-min", "-6",
             "--k-max", "6", "--witnesses", "--format", "json"]

@@ -100,6 +100,9 @@ GOLDEN = Path(__file__).parent / "data"
     ("hh_23743_stabilized_wide.csv",
      ("hh", "--exponents", "2,3,7,43", "--stabilize", "--k-min", "-200", "--k-max", "199",
       "--format", "csv")),
+    # Six-digit degrees widen the k column past its minimum of 5.
+    ("hh_237_stabilized_far.txt",
+     ("hh", "--exponents", "2,3,7", "--stabilize", "--k-min", "99999", "--k-max", "100001")),
 ])
 def test_witness_reports_match_golden_files(name, argv):
     """Witness lists, their order and their formatting, and the group
@@ -384,6 +387,14 @@ def test_oracle_answers_far_degree_windows(k, dim):
     assert out.endswith("status    : agree\n")
 
 
+def test_oracle_table_columns_widen_to_their_longest_entry():
+    code, out = invoke("oracle", "--exponents", "2,3,7", "--stabilize", "--k-min", "99999",
+                       "--k-max", "100001", "--a0-bound", "0", "--u-bound", "0")
+    assert code == 2
+    assert "\n     k   engine   oracle  agree\n 99999       12        0  NO\n" in out
+    assert "\n100000       12        0  NO\n" in out
+
+
 def test_witness_budget_refuses_before_enumerating(monkeypatch, capsys):
     def refuse(self):
         raise AssertionError("enumerated ker chi")
@@ -419,8 +430,8 @@ def test_kernel_is_enumerated_once(argv, monkeypatch):
 
 def test_import_loads_no_heavy_standard_modules():
     """A fresh ``import mfhh, mfhh.cli`` loads nothing the hh path does not
-    run: records are named tuples, and fractions loads where phases or the
-    oracle's bounds are made."""
+    run: records are named tuples, and fractions loads where phases are
+    made."""
     src = Path(mfhh.__file__).resolve().parent.parent
     probe = ("import sys, mfhh, mfhh.cli; print(*sorted({'dataclasses', 'inspect',"
              " 'fractions', 'decimal', 'typing'} & set(sys.modules)))")

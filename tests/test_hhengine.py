@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 import mfhh.hhengine
-from mfhh.charlat import AmbiguousGradingError
+from mfhh.charlat import AmbiguousGradingError, CharacterLattice, Weight
 from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis, milnor_number
 from mfhh.hhengine import (
     HochschildEngine,
@@ -96,18 +97,28 @@ def test_odd_summand_occurs_somewhere(engine2235):
     assert found  # the stabilizer line does produce odd contributions
 
 
+def _chi_multiple(exps, cs, c0):
+    """The u with sum(c_i chi_i) + c_0 chi_0 = u chi, or None.  Exact
+    fractions give the degree (chi_i -> 1/k_i, chi_0 -> 1 - sum(1/k_i),
+    chi -> 1); the exponent residues c_i - c_0 (mod k_i) must vanish."""
+    if any((c - c0) % k for c, k in zip(cs, exps)):
+        return None
+    u = sum(Fraction(c, k) for c, k in zip(cs, exps)) + c0 * (1 - sum(Fraction(1, k) for k in exps))
+    assert u.denominator == 1
+    return int(u)
+
+
 def test_witness_weight_identities(engine2235):
-    lat = engine2235.lattice
-    variables = engine2235.polynomial.variables
+    exps = engine2235.polynomial.exponents
     for k in range(-6, 7):
         for w in engine2235.dimension(k, witnesses=True).witnesses:
             gamma = engine2235.kernel[w.gamma_index]
-            exps = dict(zip(variables, w.exponents))
-            weight = lat.weight_of_monomial(exps, duals=sorted(gamma.moving))
-            if w.summand == "odd":
-                weight = weight - lat.variable_weight(0)
-            assert lat.is_multiple_of_chi(weight) == w.u
             shift = 1 if w.summand == "odd" else 0
+            a0, *a = w.exponents
+            assert all(w.exponents[i] == 0 for i in gamma.moving)
+            cs = [-1 if i in gamma.moving else x for i, x in enumerate(a, start=1)]
+            c0 = -1 if 0 in gamma.moving else a0 - shift
+            assert _chi_multiple(exps, cs, c0) == w.u
             assert w.degree == 2 * w.u + len(gamma.moving) + shift == k
 
 
@@ -182,6 +193,57 @@ def test_oracle_does_not_read_the_strata():
     assert broken.bruteforce_table(*bounds) == oracle
 
 
+def test_oracle_needs_no_weight_algebra(monkeypatch):
+    """The oracle tests the degree equation in plain integers: with the
+    weight arithmetic and the lattice's weight methods broken, it returns
+    the table's dimensions, and the counts (digest of the sorted items) and
+    max a_0 that the oracle computing with weights returned."""
+    cases = [
+        ((2, 2, 3, 5), True, -6, 6, 13, "db27197a97fb632f"),
+        ((2, 3, 7), True, -8, 8, 253, "f5a733187f47a18e"),
+        ((3, 3, 4, 4), True, -10, 10, 59, "323a4314ba9f629d"),
+        ((4, 4, 6), True, -8, 8, 20, "8fd75b8b3427500e"),
+        ((2, 2, 3), False, -4, 4, 0, "4c461d4a0ab0fe42"),
+    ]
+    engines = [HochschildEngine(DiagonalPolynomial(exps, stab)) for exps, stab, *_ in cases]
+    tables = [engine.table(k_min, k_max) for engine, (_, _, k_min, k_max, *_) in zip(engines, cases)]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("weight algebra used")
+
+    for name in ("__add__", "__sub__", "scaled", "is_zero"):
+        monkeypatch.setattr(Weight, name, broken)
+    for name in ("variable_weight", "zero_weight", "weight_of_monomial", "chi0_coset",
+                 "chi_quotient"):
+        monkeypatch.setattr(CharacterLattice, name, broken)
+    monkeypatch.setattr(CharacterLattice, "chi", property(broken))
+    with pytest.raises(AssertionError, match="weight algebra used"):
+        engines[0].table(-6, 6)
+    for engine, table, (exps, stab, k_min, k_max, max_a0, digest) in zip(engines, tables, cases):
+        counts, got_a0 = engine.bruteforce_table(*oracle_bounds(exps, stab, k_min, k_max))
+        assert [counts.get(r.degree, 0) for r in table.dimensions] == [r.dim for r in table.dimensions]
+        assert got_a0 == max_a0
+        assert hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()[:16] == digest
+
+
+def test_oracle_bounds_equal_the_fraction_formula():
+    """a0_bound = (U + N) L // |f_0| + 1 is floor((U + N) / |q_0|) + 1, since
+    q_0 = 1 - sum(1/k_i) = f_0 / L; on every stabilized multiset with N <= 4,
+    k <= 9 and prod(k) <= 300, near degree 0 and far from it."""
+    checks = 0
+    for size in range(1, 5):
+        for exps in itertools.combinations_with_replacement(range(2, 10), size):
+            q0 = abs(1 - sum(Fraction(1, k) for k in exps))
+            if math.prod(exps) > 300 or q0 == 0:
+                continue
+            for k_min, k_max in ((-2 * size - 2, 2 * size + 2), (10**6, 10**6 + 3)):
+                u_bound = (max(abs(k_min), abs(k_max)) + size + 2) // 2
+                assert oracle_bounds(exps, True, k_min, k_max) == \
+                    (math.floor((u_bound + size) / q0) + 1, u_bound), exps
+                checks += 1
+    assert checks == 2 * 225
+
+
 @pytest.mark.parametrize("exps", [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7), (2, 2, 5, 7, 11, 13)])
 def test_a_priori_bounds_dominate_engine_max_a0(exps):
     a0_bound, _ = oracle_bounds(exps, True, -10, 10)
@@ -249,7 +311,7 @@ def test_table_builds_no_jacobi_basis(monkeypatch):
     bases with it.  Dimensions, max a_0 and a digest of the witnesses (all
     fields but gamma, which gamma_index names) are the values of the engine
     that built per-fixed-set bases."""
-    def broken(lat, exponents):
+    def broken(exponents):
         raise AssertionError("jacobi_basis called")
 
     monkeypatch.setattr(mfhh.hhengine, "jacobi_basis", broken)
@@ -351,24 +413,69 @@ def test_far_degrees_repeat_the_periodic_tail():
     assert checks == 450
 
 
+# -- the odd summand -------------------------------------------------------------
+
+def _even_summand(dims, k_min, n, mu, q0):
+    """E solved from HH^k = E_k + E_{k-1} + mu [k = n] over the window
+    starting at k_min, from the end where HH vanishes beyond the window:
+    the low end when q0 > 0, the high end when q0 < 0."""
+    ks = range(k_min, k_min + len(dims))
+    pairs = list(zip(ks, dims))
+    if q0 < 0:
+        pairs.reverse()
+    e, solved = 0, []
+    for k, hh in pairs:
+        e = hh - mu * (k == n) - e
+        solved.append(e)
+    return solved
+
+
+def test_odd_summand_is_the_even_summand_one_degree_up():
+    """sum_k dim HH^k t^k = (1 + t) E(t) + mu t^n with every E_k >= 0.
+
+    With L = lcm(k_i), Q0 = L - sum(L / k_i), P = 2|Q0| and
+    B = 2(|Q0| + N) + N + 1, HH^k vanishes beyond B on the side opposite
+    sign(Q0), so E is solved from that side over [-B, B + P] (or
+    [-B - P, B] when Q0 < 0).  The engine and the oracle, which counts
+    both summands term by term, are checked separately on every stabilized
+    multiset with N <= 4, k <= 9, prod(k) <= 300 and Q0 != 0."""
+    checks = 0
+    for size in range(1, 5):
+        for exps in itertools.combinations_with_replacement(range(2, 10), size):
+            lcm = math.lcm(*exps)
+            q0 = lcm - sum(lcm // k for k in exps)
+            if math.prod(exps) > 300 or q0 == 0:
+                continue
+            period = 2 * abs(q0)
+            bound = 2 * (abs(q0) + size) + size + 1
+            k_min, k_max = (-bound, bound + period) if q0 > 0 else (-bound - period, bound)
+            engine = HochschildEngine(DiagonalPolynomial(exps, True))
+            table = [r.dim for r in engine.table(k_min, k_max).dimensions]
+            counts, _ = engine.bruteforce_table(*oracle_bounds(exps, True, k_min, k_max))
+            oracle = [counts.get(k, 0) for k in range(k_min, k_max + 1)]
+            mu = milnor_number(engine.polynomial)
+            for dims in (table, oracle):
+                assert min(_even_summand(dims, k_min, size - 1, mu, q0)) >= 0, exps
+            checks += 1
+    assert checks == 225
+
+
 # -- unstabilized sanity -----------------------------------------------------------
 
 @pytest.mark.parametrize("exps", [(5,), (2, 3)])
 def test_unstabilized_totals_match_direct_enumeration(exps):
     p = DiagonalPolynomial(exps, False)
     engine = HochschildEngine(p)
-    lat = engine.lattice
     span = 2 * sum(exps)
     engine_total = sum(engine.dimension(k).dim for k in range(-span, span + 1))
 
     direct_total = 0
-    for gamma in lat.enumerate_ker_chi():
+    for gamma in engine.lattice.enumerate_ker_chi():
         fixed = {i: p.exponent_of(i) for i in sorted(gamma.fixed)}
-        for elem in jacobi_basis(lat, fixed):
-            weight = elem.weight
-            for j in gamma.moving:
-                weight = weight - lat.variable_weight(j)
-            if lat.is_multiple_of_chi(weight) is not None:
+        for mono in jacobi_basis(fixed):
+            a = dict(mono)
+            cs = [a.get(i, -1) for i in range(1, p.num_vars + 1)]
+            if _chi_multiple(exps, cs, 0) is not None:
                 direct_total += 1
     assert engine_total == direct_total
 

@@ -10,7 +10,7 @@ import mfhh.diagpoly
 import mfhh.hhengine
 import mfhh.intlat
 from mfhh.charlat import build_character_lattice
-from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis
+from mfhh.diagpoly import DiagonalPolynomial
 from mfhh.hhengine import HochschildEngine, verify_proposition
 from mfhh.intlat import AbelianGroupStructure
 
@@ -28,7 +28,6 @@ FACTORIES = {
     "Weight": lambda: build_character_lattice(P, True).chi,
     "GroupElement": lambda: build_character_lattice(P, True).enumerate_ker_chi()[7],
     "DiagonalPolynomial": lambda: DiagonalPolynomial(P, True),
-    "JacobiBasisElement": lambda: jacobi_basis(build_character_lattice(P, True), {3: 3, 4: 5})[5],
     "HHContribution": lambda: _engine().dimension(1, witnesses=True).witnesses[0],
     "DegreeDimension": lambda: _engine().dimension(1, witnesses=True),
     "HHReport": lambda: _engine().table(-2, 2),
