@@ -155,6 +155,35 @@ def test_weight_additivity(lat2235, a, b):
             == lat2235.weight_of_monomial(total))
 
 
+def _multiple_of_chi(lat, w):
+    """The u with w = u*chi, or None: chi is the only generator with a
+    nonzero free coordinate, so u is read off it and the torsion checked."""
+    u, r = divmod(w.free, lat.chi.free)
+    return u if r == 0 and w == lat.chi.scaled(u) else None
+
+
+def test_is_multiple_of_chi_zero(lat2235):
+    assert _multiple_of_chi(lat2235, lat2235.zero_weight()) == 0
+
+
+def test_is_multiple_of_chi_rejects_chi1(lat2235):
+    chi1 = lat2235.variable_weight(1)
+    assert _multiple_of_chi(lat2235, chi1) is None
+    # independent brute scan
+    assert all(chi1 != lat2235.chi.scaled(u) for u in range(-10, 11))
+
+
+def test_is_multiple_of_chi_two_chi1(lat2235):
+    assert _multiple_of_chi(lat2235, lat2235.variable_weight(1).scaled(2)) == 1
+
+
+def test_is_multiple_round_trip():
+    for exps, stab in LATTICE_CASES:
+        lat = build_character_lattice(exps, stab)
+        for u in range(-20, 21):
+            assert _multiple_of_chi(lat, lat.chi.scaled(u)) == u
+
+
 def test_multiples_of_chi_follow_the_integer_rule():
     """sum(c_i chi_i) + c_0 chi_0 equals u*chi for some u iff c_i = c_0
     (mod k_i) for every i, and then u = (sum(c_i L/k_i) + c_0 f_0) / L with
