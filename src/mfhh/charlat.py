@@ -156,41 +156,30 @@ class CharacterLattice:
 
     # -- weight operations --------------------------------------------------
 
-    def weight_of_monomial(self, exponents: Mapping[int, int],
-                           duals: Iterable[int] = ()) -> Weight:
-        """Canonical form of sum(a_i * chi_i) - sum(chi_j over duals).
-
-        ``duals`` is a multiset of variable indices contributing -chi_j each.
-        """
+    def weight_of_monomial(self, exponents: Mapping[int, int]) -> Weight:
+        """Canonical form of sum(a_i * chi_i)."""
         w = self._zero
         for i, a in exponents.items():
             if a < 0:
                 raise ValueError("monomial exponents must be nonnegative")
             if a:
                 w = w + self.variable_weight(i).scaled(a)
-        for j in duals:
-            w = w - self.variable_weight(j)
         return w
 
-    def chi0_coset(self, w: Weight) -> tuple[int, ...]:
-        """Key of w modulo integer multiples of chi_0: two weights share it
-        iff they differ by a*chi_0 for some integer a.
-
-        With (f_0, t_0) the coordinates of chi_0 and q = w.free // f_0, the
-        key is the coordinates of w - q*chi_0, whose free part is w.free mod
-        f_0.  Needs f_0 != 0, which fails only in the degenerate
-        sum-of-reciprocals-equal-one case.
+    def coset_key(self, free: int, residues: Iterable[int]) -> tuple[int, ...]:
+        """Key of the weight (free, residues) modulo integer multiples of
+        chi_0 = (f_0, (k_i - 1)_i): with q = free // f_0, the coordinates
+        (free - q*f_0, (residue_i + q) mod k_i) of the weight minus q*chi_0.
+        Raises AmbiguousGradingError when f_0 = 0 (sum of 1/k_i equal to 1).
         """
         if not self.stabilized:
-            raise ValueError("chi0_coset requires a stabilized lattice")
-        f0, t0 = self._var_weight[0].free, self._var_weight[0].torsion
+            raise ValueError("coset_key requires a stabilized lattice")
+        f0 = self._var_weight[0].free
         if f0 == 0:
             raise AmbiguousGradingError(
-                f"stabilizer degree is torsion for exponents {self.exponents}"
-            )
-        q = w.free // f0
-        return (w.free - q * f0,
-                *((t - q * s) % m for t, s, m in zip(w.torsion, t0, w.mods)))
+                f"stabilizer degree is torsion for exponents {self.exponents}")
+        q = free // f0
+        return (free - q * f0, *((t + q) % k for t, k in zip(residues, self.exponents)))
 
     def enumerate_ker_chi(self) -> tuple[GroupElement, ...]:
         """All group elements with trivial chi-value, as phase vectors.

@@ -15,11 +15,17 @@ polynomial to its fixed locus, twisted by the duals of the moving variables:
 * odd summand, only when z_0 is fixed by gamma: the same condition with one
   extra -chi_0 on the left and u = (k - #moving - 1) / 2.
 
-Non-integral u contributes nothing.  Because restrictions of a diagonal
-polynomial are diagonal, the Koszul complex computing each local factor is
-concentrated in degree zero (its cohomology is the Jacobi ring) except for
-the split z_0-line, which is what the odd summand accounts for; no deeper
-Koszul terms exist to sum over.
+Non-integral u contributes nothing.  Stabilized, each odd term is an even
+one with a_0 one higher, one degree up, except for mu = prod(k_i - 1) terms
+in degree n = N - 1 (the odd ones with a_0 = 0 and those of elements moving
+z_0).  With E_k the even terms of elements fixing z_0 in degree k,
+
+    sum_k dim HH^k t^k = (1 + t) E(t) + mu t^n.
+
+Because restrictions of a diagonal polynomial are diagonal, the Koszul
+complex computing each local factor is concentrated in degree zero (its
+cohomology is the Jacobi ring) except for the split z_0-line, which is what
+the odd summand accounts for; no deeper Koszul terms exist to sum over.
 
 A term depends on gamma only through its moving set M = N_gamma: the fixed
 variables, #moving, sum(chi_j, j in M) and whether z_0 is fixed are all
@@ -43,15 +49,16 @@ Within a stratum each degree and summand costs one lookup.  A Jacobi
 monomial prod z_i^{a_i} (a_i <= k_i - 2) has weight (sum(a_i * L / k_i), a),
 its residues being its exponents, and lies on a stratum's fixed variables
 iff its support misses the moving set (a quadratic variable has only power
-0, so it is never in a support).  With offset = sum(-chi_j, j in M), minus
-chi_0 for the odd summand, and target = u * chi - offset:
+0, so it is never in a support).  Let offset = sum(-chi_j, j in M), that
+is (-sum(L / k_j, j in M, j != 0) - [0 in M] f_0, ([0 in M] - [i in M]) mod
+k_i), minus chi_0 for the odd summand, and target = u * chi - offset:
 
 * a stratum moving z_0 (every stratum when unstabilized) counts the unit
   monomial iff target is zero, and nothing else: its target has residue 1
   on a moving polynomial variable (unstabilized) or k_i - 1 on a fixed one
   (stabilized, from chi_0), which no monomial on the fixed variables has;
 * a stratum fixing z_0 looks up the target's coset modulo integer multiples
-  of chi_0 (``CharacterLattice.chi0_coset``).  Each stabilized call lists
+  of chi_0 (``CharacterLattice.coset_key``).  Each stabilized call lists
   the exponent box once, for all fixed sets, bucketed by the same key.
   Every monomial in the target's bucket has weight + a_0 * chi_0 ==
   target, residues included, for the integer
@@ -84,6 +91,7 @@ from mfhh.charlat import (
     AmbiguousGradingError,
     CharacterLattice,
     GroupElement,
+    Weight,
     build_character_lattice,
 )
 from mfhh.diagpoly import DiagonalPolynomial, jacobi_basis, milnor_number
@@ -233,11 +241,8 @@ class HochschildEngine:
         exps = self.polynomial.exponents
         chi0 = lat.variable_weight(0) if stabilized else None
         f0 = chi0.free if stabilized else 0
-        if stabilized and f0 == 0:
-            raise AmbiguousGradingError(
-                f"stabilizer degree is torsion for exponents {exps}")
         # Only strata fixing z_0 search the exponent box, so only a stabilized
-        # call lists it, bucketed by chi0_coset key; a support has bit i for z_i.
+        # call lists it, bucketed by coset_key; a support has bit i for z_i.
         by_coset = {}
         if stabilized:
             steps = [chi.free // k for k in exps]
@@ -245,18 +250,20 @@ class HochschildEngine:
             for a in itertools.product(*(range(k - 1) for k in exps)):
                 free = sum(x * step for x, step in zip(a, steps))
                 support = sum(bit for x, bit in zip(a, bits) if x)
-                q = free // f0
-                key = (free - q * f0, *((x + q) % k for x, k in zip(a, exps)))
-                by_coset.setdefault(key, []).append((a, free, support))
+                by_coset.setdefault(lat.coset_key(free, a), []).append((a, free, support))
 
         counts = {k: 0 for k in ks}
         max_a0 = 0
         accepted = {}  # moving set -> [(k, summand, exponent vector, u)]
         for moving, mult in strata.items():
             moving_count = len(moving)
-            z0_fixed = stabilized and 0 not in moving
+            z0_moves = 0 in moving
+            z0_fixed = stabilized and not z0_moves
             moving_bits = sum(1 << i for i in moving)
-            dual = lat.weight_of_monomial({}, duals=moving)
+            # -sum(chi_j, j in M), read off chi_j = (L / k_j, e_j) and chi_0.
+            dual = Weight(-sum(chi.free // exps[j - 1] for j in moving if j) - z0_moves * f0,
+                          tuple((z0_moves - (i in moving)) % k
+                                for i, k in enumerate(exps, start=1)), exps)
             summands = [(EVEN, 0, dual)]
             if z0_fixed:
                 summands.append((ODD, 1, dual - chi0))
@@ -270,7 +277,8 @@ class HochschildEngine:
                     target = chi.scaled(u) - offset
                     if z0_fixed:
                         hits = []
-                        for a, free, support in by_coset.get(lat.chi0_coset(target), ()):
+                        for a, free, support in by_coset.get(
+                                lat.coset_key(target.free, target.torsion), ()):
                             a0 = (target.free - free) // f0
                             if a0 >= 0 and not support & moving_bits:
                                 hits.append((a, a0))

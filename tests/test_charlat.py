@@ -127,7 +127,9 @@ def test_variable_power_equals_chi(lat2235):
 
 
 def test_all_duals_equal_minus_chi(lat2235):
-    w = lat2235.weight_of_monomial({}, duals=(0, 1, 2, 3, 4))
+    w = lat2235.zero_weight()
+    for j in (0, 1, 2, 3, 4):
+        w = w - lat2235.variable_weight(j)
     assert w == lat2235.zero_weight() - lat2235.chi
 
 
@@ -214,10 +216,14 @@ def brute_a0(lat, u, partial, bound=1000):
     return None
 
 
+def coset_key(lat, w):
+    return lat.coset_key(w.free, w.torsion)
+
+
 def coset_a0(lat, u, partial):
-    """The a0 >= 0 with partial + a0*chi_0 == u*chi, read off chi0_coset."""
+    """The a0 >= 0 with partial + a0*chi_0 == u*chi, read off coset_key."""
     target = lat.chi.scaled(u)
-    if lat.chi0_coset(partial) != lat.chi0_coset(target):
+    if coset_key(lat, partial) != coset_key(lat, target):
         return None
     a0, rest = divmod(target.free - partial.free, lat.variable_weight(0).free)
     assert rest == 0
@@ -246,7 +252,7 @@ def test_chi0_coset_torsion_rejection(lat2235):
     partial = lat2235.weight_of_monomial({3: 1, 4: 1})
     chi0 = lat2235.variable_weight(0)
     assert (partial.free + 1 * chi0.free) == 0 == lat2235.chi.scaled(0).free
-    assert lat2235.chi0_coset(partial) != lat2235.chi0_coset(lat2235.zero_weight())
+    assert coset_key(lat2235, partial) != coset_key(lat2235, lat2235.zero_weight())
     assert coset_a0(lat2235, 0, partial) is None
     assert brute_a0(lat2235, 0, partial) is None
 
@@ -261,8 +267,11 @@ def test_chi0_coset_agrees_with_brute_scan():
                    {i: 1 for i in range(1, n + 1)}]
         for sample in samples:
             partial = lat.weight_of_monomial(sample)
+            # the key is the coordinates of partial - q*chi_0, q = partial.free // chi_0.free
+            rest = partial - chi0.scaled(partial.free // chi0.free)
+            assert coset_key(lat, partial) == (rest.free, *rest.torsion)
             for a in range(-3, 4):
-                assert lat.chi0_coset(partial + chi0.scaled(a)) == lat.chi0_coset(partial)
+                assert coset_key(lat, partial + chi0.scaled(a)) == coset_key(lat, partial)
             for u in range(-4, 5):
                 assert coset_a0(lat, u, partial) == brute_a0(lat, u, partial)
 
@@ -270,14 +279,14 @@ def test_chi0_coset_agrees_with_brute_scan():
 def test_chi0_coset_requires_stabilizer():
     lat = build_character_lattice((2, 2, 3, 5), False)
     with pytest.raises(ValueError):
-        lat.chi0_coset(lat.zero_weight())
+        coset_key(lat, lat.zero_weight())
 
 
 def test_reciprocal_sum_one_is_ambiguous():
     lat = build_character_lattice((2, 3, 6), True)
     assert lat.variable_weight(0).free == 0
     with pytest.raises(AmbiguousGradingError):
-        lat.chi0_coset(lat.zero_weight())
+        coset_key(lat, lat.zero_weight())
 
 
 def test_stabilizer_free_coordinate_tracks_reciprocal_sum():

@@ -213,7 +213,7 @@ def test_oracle_needs_no_weight_algebra(monkeypatch):
 
     for name in ("__add__", "__sub__", "scaled", "is_zero"):
         monkeypatch.setattr(Weight, name, broken)
-    for name in ("variable_weight", "zero_weight", "weight_of_monomial", "chi0_coset",
+    for name in ("variable_weight", "zero_weight", "weight_of_monomial", "coset_key",
                  "chi_quotient"):
         monkeypatch.setattr(CharacterLattice, name, broken)
     monkeypatch.setattr(CharacterLattice, "chi", property(broken))

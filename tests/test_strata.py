@@ -145,12 +145,12 @@ MAX_ORDER = 400
 
 
 @st.composite
-def exponent_lists(draw):
-    """Unsorted exponent lists with N <= 5, 2 <= k <= 9 and prod(k) <= MAX_ORDER."""
+def exponent_lists(draw, max_order=MAX_ORDER):
+    """Unsorted exponent lists with N <= 5, 2 <= k <= 9 and prod(k) <= max_order."""
     n = draw(st.integers(1, 5))
     exps = []
     for left in range(n, 0, -1):
-        room = MAX_ORDER // (prod(exps) * 2 ** (left - 1))
+        room = max_order // (prod(exps) * 2 ** (left - 1))
         exps.append(draw(st.integers(2, min(9, room))))
     return draw(st.permutations(exps))
 
@@ -173,3 +173,34 @@ def test_table_matches_oracle_under_a_priori_bounds(exps, stabilized):
     assert report.max_a0 <= a0_bound
     counts, _ = engine.bruteforce_table(a0_bound, u_bound)
     assert [r.dim for r in report.dimensions] == [counts.get(k, 0) for k in range(k_min, k_max + 1)]
+
+
+@st.composite
+def windowed_instances(draw):
+    """(exponents, stabilized, k_min, k_max) with N <= 5, k <= 9, prod(k) <= 300
+    and a window inside [-(2N + 12), 2N + 12]."""
+    exps = tuple(draw(exponent_lists(max_order=300)))
+    reach = 2 * len(exps) + 12
+    k_min = draw(st.integers(-reach, reach))
+    return exps, draw(st.booleans()), k_min, draw(st.integers(k_min, reach))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instance=windowed_instances())
+def test_table_residue_rule_and_oracle_agree(instance):
+    """The engine, the residue rule and the oracle under its a-priori bounds
+    count the same dimensions; where chi_0 is torsion, all three refuse."""
+    exps, stabilized, k_min, k_max = instance
+    engine = HochschildEngine(DiagonalPolynomial(exps, stabilized))
+    try:
+        bounds = oracle_bounds(exps, stabilized, k_min, k_max)
+    except AmbiguousGradingError:
+        with pytest.raises(AmbiguousGradingError):
+            engine.table(k_min, k_max)
+        with pytest.raises(AmbiguousGradingError):
+            engine.bruteforce_table(0, 0)
+        return
+    dims = [r.dim for r in engine.table(k_min, k_max).dimensions]
+    assert dims == residue_table(exps, stabilized, k_min, k_max)
+    counts, _ = engine.bruteforce_table(*bounds)
+    assert dims == [counts.get(k, 0) for k in range(k_min, k_max + 1)]
