@@ -15,10 +15,11 @@ polynomial to its fixed locus, twisted by the duals of the moving variables:
 * odd summand, only when z_0 is fixed by gamma: the same condition with one
   extra -chi_0 on the left and u = (k - #moving - 1) / 2.
 
-Non-integral u contributes nothing.  Stabilized, each odd term is an even
-one with a_0 one higher, one degree up, except for mu = prod(k_i - 1) terms
-in degree n = N - 1 (the odd ones with a_0 = 0 and those of elements moving
-z_0).  With E_k the even terms of elements fixing z_0 in degree k,
+Non-integral u contributes nothing.  Each odd term is the twin of an even
+solution with c_0 = a_0 - 1 >= -1 one degree down and the same u; the twins
+of c_0 = -1 and the terms of elements moving z_0 are mu = prod(k_i - 1)
+terms in degree n = N - 1.  With E_k the even terms of z_0-fixing elements
+in degree k,
 
     sum_k dim HH^k t^k = (1 + t) E(t) + mu t^n.
 
@@ -45,24 +46,25 @@ dimension tables therefore never enumerate ker(chi); witnesses do, and each
 Each ``table`` or ``dimension`` call lists the strata after its budgets are
 checked; the engine keeps none of them.
 
-Within a stratum each degree and summand costs one lookup.  A Jacobi
+Within a stratum each degree costs one lookup.  A Jacobi
 monomial prod z_i^{a_i} (a_i <= k_i - 2) has weight (sum(a_i * L / k_i), a),
 its residues being its exponents, and lies on a stratum's fixed variables
 iff its support misses the moving set (a quadratic variable has only power
 0, so it is never in a support).  Let offset = sum(-chi_j, j in M), that
 is (-sum(L / k_j, j in M, j != 0) - [0 in M] f_0, ([0 in M] - [i in M]) mod
-k_i), minus chi_0 for the odd summand, and target = u * chi - offset:
+k_i), and target = u * chi - offset with u = (k - #moving) / 2:
 
 * a stratum moving z_0 (every stratum when unstabilized) counts the unit
   monomial iff target is zero, and nothing else: its target has residue 1
   on a moving polynomial variable (unstabilized) or k_i - 1 on a fixed one
   (stabilized, from chi_0), which no monomial on the fixed variables has;
 * a stratum fixing z_0 looks up the target's coset modulo integer multiples
-  of chi_0 (``CharacterLattice.coset_key``).  Each stabilized call lists
-  the exponent box once, for all fixed sets, bucketed by the same key.
-  Every monomial in the target's bucket has weight + a_0 * chi_0 ==
-  target, residues included, for the integer
-  a_0 = (target.free - weight.free) / chi_0.free, and counts iff a_0 >= 0.
+  of chi_0 (``CharacterLattice.coset_key``) in the exponent box, which each
+  stabilized call lists once, bucketed by the same key, for every k in
+  [k_min - 1, k_max].  A monomial in that bucket off the moving set has
+  weight + c_0 * chi_0 == target, c_0 = (target.free - weight.free) / f_0;
+  it is the even term a_0 = c_0 in degree k if c_0 >= 0, and its odd twin
+  a_0 = c_0 + 1 in degree k + 1 if c_0 >= -1, each only inside the window.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of
 ker(chi), every Jacobi monomial on its fixed variables and a_0 over a finite
@@ -113,7 +115,7 @@ SCAN_BUDGET = 10**7
 
 # Most (stratum, degree) pairs one table may count.  Many small exponents
 # give up to 2^(N+1) strata under the element budget, and a table does one
-# lookup per stratum, degree and summand.
+# lookup per stratum and degree.
 STRATUM_DEGREE_BUDGET = 2 * 10**6
 
 # Most witnesses one table may list.  Checked after counting, before ker(chi)
@@ -225,10 +227,10 @@ class HochschildEngine:
         return self.lattice.enumerate_ker_chi()
 
     def _count(self, ks: Sequence[int], want_witnesses: bool) -> tuple[list[DegreeDimension], int]:
-        """Rows for the degrees in ``ks``, and the largest stabilizer power
-        a_0 they accepted: each stratum is counted once per degree and
-        summand by one index lookup, and weighted by its multiplicity.
-        Strata and indexes live for this call only."""
+        """Rows for the consecutive degrees ``ks``, and the largest
+        stabilizer power a_0 they accepted: each stratum's terms, found by
+        one lookup per degree, count with its multiplicity.  Strata and the
+        box live for this call only."""
         lat = self.lattice
         strata = lat.moving_set_counts()
         pairs = len(strata) * len(ks)
@@ -239,13 +241,12 @@ class HochschildEngine:
         chi = lat.chi
         stabilized = self.polynomial.stabilized
         exps = self.polynomial.exponents
-        chi0 = lat.variable_weight(0) if stabilized else None
-        f0 = chi0.free if stabilized else 0
+        steps = [chi.free // k for k in exps]
+        f0 = chi.free - sum(steps)  # the free coordinate of chi_0
         # Only strata fixing z_0 search the exponent box, so only a stabilized
         # call lists it, bucketed by coset_key; a support has bit i for z_i.
         by_coset = {}
         if stabilized:
-            steps = [chi.free // k for k in exps]
             bits = [1 << i for i in range(1, len(exps) + 1)]
             for a in itertools.product(*(range(k - 1) for k in exps)):
                 free = sum(x * step for x, step in zip(a, steps))
@@ -255,41 +256,38 @@ class HochschildEngine:
         counts = {k: 0 for k in ks}
         max_a0 = 0
         accepted = {}  # moving set -> [(k, summand, exponent vector, u)]
+        k_min, k_max = ks[0], ks[-1]
         for moving, mult in strata.items():
-            moving_count = len(moving)
             z0_moves = 0 in moving
             z0_fixed = stabilized and not z0_moves
             moving_bits = sum(1 << i for i in moving)
             # -sum(chi_j, j in M), read off chi_j = (L / k_j, e_j) and chi_0.
-            dual = Weight(-sum(chi.free // exps[j - 1] for j in moving if j) - z0_moves * f0,
+            dual = Weight(-sum(steps[j - 1] for j in moving if j) - z0_moves * f0,
                           tuple((z0_moves - (i in moving)) % k
                                 for i, k in enumerate(exps, start=1)), exps)
-            summands = [(EVEN, 0, dual)]
-            if z0_fixed:
-                summands.append((ODD, 1, dual - chi0))
-            found = accepted[moving] = []
-            for k in ks:
-                for summand, shift, offset in summands:
-                    num = k - moving_count - shift
-                    if num % 2:
+            terms = []
+            # Degrees with integral u, from k_min - 1 when z_0 is fixed: its odd twins land in k_min.
+            first = k_min - z0_fixed
+            for k in range(first + (first - len(moving)) % 2, k_max + 1, 2):
+                u = (k - len(moving)) // 2
+                target = chi.scaled(u) - dual
+                if not z0_fixed:
+                    if target.is_zero():
+                        terms.append((k, EVEN, (0, *target.torsion) if stabilized else target.torsion, u))
+                    continue
+                for a, free, support in by_coset.get(lat.coset_key(target.free, target.torsion), ()):
+                    c0 = (target.free - free) // f0
+                    if c0 < -1 or support & moving_bits:
                         continue
-                    u = num // 2
-                    target = chi.scaled(u) - offset
-                    if z0_fixed:
-                        hits = []
-                        for a, free, support in by_coset.get(
-                                lat.coset_key(target.free, target.torsion), ()):
-                            a0 = (target.free - free) // f0
-                            if a0 >= 0 and not support & moving_bits:
-                                hits.append((a, a0))
-                                if a0 > max_a0:
-                                    max_a0 = a0
-                    else:
-                        hits = [(target.torsion, 0)] if target.is_zero() else []
-                    counts[k] += mult * len(hits)
-                    if want_witnesses:
-                        found.extend((k, summand, (a0, *a) if stabilized else a, u)
-                                     for a, a0 in hits)
+                    if c0 >= 0 and k >= k_min:
+                        terms.append((k, EVEN, (c0, *a), u))
+                    if k < k_max:
+                        terms.append((k + 1, ODD, (c0 + 1, *a), u))
+            for k, _, vector, _ in terms:
+                counts[k] += mult
+                max_a0 = max(max_a0, vector[0])  # a_0, or 0 on an unstabilized unit monomial
+            if want_witnesses:
+                accepted[moving] = terms
         wits = {k: [] for k in ks}
         if want_witnesses:
             total = sum(counts.values())

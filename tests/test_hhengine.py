@@ -278,12 +278,15 @@ def test_oracle_report_shape(engine2235):
 @pytest.mark.parametrize("exps", [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7), (2, 2, 5, 7, 11, 13)])
 def test_table_rows_equal_single_degrees(exps):
     """One engine answers the whole window in one call, another degree by
-    degree, building its bases afresh for each degree; the rows agree."""
+    degree; the rows agree, without witnesses and then witness by witness.
+    A one-degree window finds every odd witness by the lookup of the degree
+    below it, outside the window."""
     p = DiagonalPolynomial(exps, True)
-    table = HochschildEngine(p).table(-10, 10)
-    single = HochschildEngine(p)
-    for row in table.dimensions:
-        assert single.dimension(row.degree) == row
+    for witnesses in (False, True):
+        table = HochschildEngine(p).table(-10, 10, witnesses)
+        single = HochschildEngine(p)
+        for row in table.dimensions:
+            assert single.dimension(row.degree, witnesses) == row
 
 
 def _state(engine):

@@ -47,7 +47,8 @@ def test_both_stabilizations_share_one_lattice():
 
 
 def residue_table(exps, stabilized, k_min, k_max):
-    """dim HH^k over [k_min, k_max] by the residue rule, per moving set.
+    """dim HH^k over [k_min, k_max] by the residue rule, per moving set, and
+    the largest a_0 = c_0 + shift of a term inside the window (0 if none).
 
     With c_i = a_i for fixed and -1 for moving variables, and c_0 = a_0 -
     shift when z_0 is fixed, -1 when it moves and 0 unstabilized, the weight
@@ -59,6 +60,7 @@ def residue_table(exps, stabilized, k_min, k_max):
     q0 = 1 - sum(Fraction(1, k) for k in exps)
     a0_bound = oracle_bounds(exps, stabilized, k_min, k_max)[0]
     dims = dict.fromkeys(range(k_min, k_max + 1), 0)
+    max_a0 = 0
     for moving, mult in build_character_lattice(exps, stabilized).moving_set_counts().items():
         if not stabilized:
             choices = [(0, 0)]
@@ -77,7 +79,8 @@ def residue_table(exps, stabilized, k_min, k_max):
             k = 2 * int(u) + len(moving) + shift
             if k in dims:
                 dims[k] += mult
-    return [dims[k] for k in range(k_min, k_max + 1)]
+                max_a0 = max(max_a0, c0 + shift)
+    return [dims[k] for k in range(k_min, k_max + 1)], max_a0
 
 
 def test_residue_rule_matches_table():
@@ -96,7 +99,7 @@ def test_residue_rule_matches_table():
                 except AmbiguousGradingError:
                     continue
                 instances += 1
-                assert [r.dim for r in report.dimensions] == \
+                assert ([r.dim for r in report.dimensions], report.max_a0) == \
                     residue_table(exps, stabilized, k_min, k_max), (exps, stabilized)
     assert instances == 238
 
@@ -126,7 +129,7 @@ def test_residue_rule_matches_golden_files(name, exps, stabilized):
         dims = {int(k): int(d) for k, d in re.findall(r"^ *(-?\d+) +(\d+)$", text, re.M)}
     ks = sorted(dims)
     assert ks == list(range(ks[0], ks[-1] + 1))
-    assert residue_table(exps, stabilized, ks[0], ks[-1]) == [dims[k] for k in ks]
+    assert residue_table(exps, stabilized, ks[0], ks[-1])[0] == [dims[k] for k in ks]
 
 
 def test_moving_set_counts_need_no_enumeration(monkeypatch):
@@ -189,7 +192,10 @@ def windowed_instances(draw):
 @given(instance=windowed_instances())
 def test_table_residue_rule_and_oracle_agree(instance):
     """The engine, the residue rule and the oracle under its a-priori bounds
-    count the same dimensions; where chi_0 is torsion, all three refuse."""
+    count the same dimensions, and the engine's max a_0 is the largest a_0
+    the residue rule accepts inside the window, so an odd twin one degree
+    past k_max or an even term at k_min - 1 cannot raise it; where chi_0 is
+    torsion, all three refuse."""
     exps, stabilized, k_min, k_max = instance
     engine = HochschildEngine(DiagonalPolynomial(exps, stabilized))
     try:
@@ -200,7 +206,8 @@ def test_table_residue_rule_and_oracle_agree(instance):
         with pytest.raises(AmbiguousGradingError):
             engine.bruteforce_table(0, 0)
         return
-    dims = [r.dim for r in engine.table(k_min, k_max).dimensions]
-    assert dims == residue_table(exps, stabilized, k_min, k_max)
+    report = engine.table(k_min, k_max)
+    dims = [r.dim for r in report.dimensions]
+    assert (dims, report.max_a0) == residue_table(exps, stabilized, k_min, k_max)
     counts, _ = engine.bruteforce_table(*bounds)
     assert dims == [counts.get(k, 0) for k in range(k_min, k_max + 1)]
