@@ -22,6 +22,11 @@ coordinates are.  The relation matrix (a tuple of integer rows, one per
 k_i*chi_i - chi) only names the group: its Smith invariant factors are the
 torsion of the lattice, whose order is prod(k_i) / L.
 
+The lattice stores chi = (L, 0) and the free coordinate f_0 = L - sum(L/k_i)
+of chi_0, which keys its cosets.  The generators chi_i = (L/k_i, e_i) and
+chi_0 = (f_0, (k_i - 1)_i) are closed forms that a caller writes out from the
+exponents, as the engine does for its stratum offsets.
+
 Variables are indexed 1..N, with index 0 reserved for the stabilizer z_0.
 """
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from mfhh.intlat import cokernel, smith_normal_form
 
@@ -54,12 +59,6 @@ class Weight(namedtuple("Weight", "free torsion mods")):
         if self.mods != other.mods:
             raise ValueError("weights from different lattices")
 
-    def __add__(self, other: Weight) -> Weight:
-        self._require_same_lattice(other)
-        return Weight(self.free + other.free,
-                      tuple((a + b) % m for a, b, m in zip(self.torsion, other.torsion, self.mods)),
-                      self.mods)
-
     def __sub__(self, other: Weight) -> Weight:
         self._require_same_lattice(other)
         return Weight(self.free - other.free,
@@ -72,10 +71,10 @@ class Weight(namedtuple("Weight", "free torsion mods")):
                       self.mods)
 
     def __mul__(self, other):
-        # A tuple would repeat itself; a weight is scaled only by scaled().
+        # A tuple would repeat or concatenate itself; weights only subtract and scale.
         return NotImplemented
 
-    __rmul__ = __mul__
+    __rmul__ = __add__ = __radd__ = __mul__
 
     def is_zero(self) -> bool:
         return self.free == 0 and not any(self.torsion)
@@ -90,7 +89,8 @@ class GroupElement(namedtuple("GroupElement", "phases fixed moving")):
 
 
 class CharacterLattice:
-    """Canonical weight arithmetic for one diagonal polynomial.
+    """The character lattice of one diagonal polynomial: chi, the
+    chi_0-coset key, the torsion and ker(chi).
 
     Immutable after construction; all methods are pure.  Use
     :func:`build_character_lattice` to create instances.
@@ -128,43 +128,13 @@ class CharacterLattice:
 
         # chi = (L, 0), chi_i = (L/k_i, e_i) and chi_0 = chi - sum(chi_i) =
         # (L*q_0, (k_i - 1)_i) with q_0 = 1 - sum(1/k_i).  chi has degree 1,
-        # so its free coordinate is never 0.
-        self._zero = Weight(0, (0,) * n, exps)
+        # so its free coordinate is never 0; coset_key reads f_0 = L*q_0.
         self._chi = Weight(lcm, (0,) * n, exps)
-        self._var_weight = {
-            i: Weight(lcm // k, tuple(int(j == i) for j in range(1, n + 1)), exps)
-            for i, k in enumerate(exps, start=1)}
-        if self.stabilized:
-            self._var_weight[0] = Weight(lcm - sum(lcm // k for k in exps),
-                                         tuple(k - 1 for k in exps), exps)
-        # Every relation k_i*chi_i - chi maps to the zero weight.
-        assert all(self._var_weight[i].scaled(k) == self._chi for i, k in enumerate(exps, start=1))
+        self._f0 = lcm - sum(lcm // k for k in exps)
 
     @property
     def chi(self) -> Weight:
         return self._chi
-
-    def variable_weight(self, i: int) -> Weight:
-        """Degree of the i-th variable (i = 0 is the stabilizer)."""
-        try:
-            return self._var_weight[i]
-        except KeyError:
-            raise ValueError(f"no variable with index {i}") from None
-
-    def zero_weight(self) -> Weight:
-        return self._zero
-
-    # -- weight operations --------------------------------------------------
-
-    def weight_of_monomial(self, exponents: Mapping[int, int]) -> Weight:
-        """Canonical form of sum(a_i * chi_i)."""
-        w = self._zero
-        for i, a in exponents.items():
-            if a < 0:
-                raise ValueError("monomial exponents must be nonnegative")
-            if a:
-                w = w + self.variable_weight(i).scaled(a)
-        return w
 
     def coset_key(self, free: int, residues: Iterable[int]) -> tuple[int, ...]:
         """Key of the weight (free, residues) modulo integer multiples of
@@ -174,7 +144,7 @@ class CharacterLattice:
         """
         if not self.stabilized:
             raise ValueError("coset_key requires a stabilized lattice")
-        f0 = self._var_weight[0].free
+        f0 = self._f0
         if f0 == 0:
             raise AmbiguousGradingError(
                 f"stabilizer degree is torsion for exponents {self.exponents}")

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from mfhh.charlat import build_character_lattice
+from mfhh.charlat import Weight, build_character_lattice
 from mfhh.cli import run
 from mfhh.diagpoly import DiagonalPolynomial, milnor_number
 from mfhh.hhengine import HochschildEngine, oracle_bounds
@@ -138,14 +138,25 @@ def test_criterion_7_property_suites(engines):
             theirs = sympy_snf(Matrix(m), domain=ZZ)
             assert list(diag) == [abs(int(theirs[i, i])) for i in range(len(diag))]
 
-    # Weight additivity on sampled monomials.
+    # The per-degree target of the counting loop: with dual(M) = -sum(chi_j, j in M)
+    # from the generators' closed forms, u*chi - dual(M) is
+    # (u*L + sum(L/k_j, j in M, j >= 1) + [0 in M]*f_0, ([i in M] - [0 in M]) mod k_i).
     lat = engines[(2, 2, 3, 5)].lattice
+    exps, lcm = lat.exponents, lat.chi.free
+    f0 = lcm - sum(lcm // k for k in exps)
+    gens = {0: Weight(f0, tuple(k - 1 for k in exps), exps)}
+    gens.update((i, Weight(lcm // k, tuple(int(j == i) for j in range(1, len(exps) + 1)), exps))
+                for i, k in enumerate(exps, start=1))
     for _ in range(100):
-        a = {i: rng.randint(0, 6) for i in range(5)}
-        b = {i: rng.randint(0, 6) for i in range(5)}
-        total = {i: a[i] + b[i] for i in a}
-        assert (lat.weight_of_monomial(a) + lat.weight_of_monomial(b)
-                == lat.weight_of_monomial(total))
+        u = rng.randint(-50, 50)
+        moving = [i for i in lat.variables if rng.random() < 0.5]
+        dual = lat.chi.scaled(0)
+        for j in moving:
+            dual = dual - gens[j]
+        z0 = 0 in moving
+        assert lat.chi.scaled(u) - dual == Weight(
+            u * lcm + sum(lcm // exps[j - 1] for j in moving if j) + z0 * f0,
+            tuple(((i in moving) - z0) % k for i, k in enumerate(exps, start=1)), exps)
 
     # Determinism under --parallel N.
     argv = ["hh", "--exponents", "2,2,3,5", "--stabilize", "--k-min", "-6",

@@ -5,9 +5,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from mfhh.charlat import AmbiguousGradingError, build_character_lattice
+from mfhh.charlat import AmbiguousGradingError, Weight, build_character_lattice
 from mfhh.intlat import cokernel
 
 LATTICE_CASES = [
@@ -105,11 +104,38 @@ def test_torsion_has_a_closed_form(stabilized):
             != closed_form_torsion(exps)] == []
 
 
+def chi_i(lat, i):
+    """The closed form chi_i = (L / k_i, e_i), written out from the exponents."""
+    exps, lcm = lat.exponents, lat.chi.free
+    return Weight(lcm // exps[i - 1], tuple(int(j == i) for j in range(1, len(exps) + 1)), exps)
+
+
+def chi_0(lat):
+    """The closed form chi_0 = (L - sum(L / k_i), (k_i - 1)_i)."""
+    exps, lcm = lat.exponents, lat.chi.free
+    return Weight(lcm - sum(lcm // k for k in exps), tuple(k - 1 for k in exps), exps)
+
+
+def combination(lat, terms):
+    """sum(c * g) over the (g, c) pairs, from subtraction and scaling alone:
+    subtracting (-c) * g adds c * g."""
+    w = lat.chi.scaled(0)
+    for g, c in terms:
+        w = w - g.scaled(-c)
+    return w
+
+
+def monomial(lat, exponents):
+    """The weight sum(a_i * chi_i) of a monomial {i: a_i}, i = 0 for z_0."""
+    return combination(lat, [(chi_0(lat) if i == 0 else chi_i(lat, i), a)
+                             for i, a in exponents.items()])
+
+
 def test_single_quadratic_unstabilized_lattice():
     # one relation in two generators: the lattice is Z with chi = 2*chi_1
     lat = build_character_lattice((2,), False)
     assert lat.torsion_mods == ()
-    assert lat.chi == lat.variable_weight(1).scaled(2)
+    assert lat.chi == Weight(1, (1,), (2,)).scaled(2)
 
 
 def test_kernel_order_2235(lat2235):
@@ -117,44 +143,46 @@ def test_kernel_order_2235(lat2235):
     assert lat2235.chi_quotient().order == 60
 
 
-def test_weight_of_zero_monomial(lat2235):
-    assert lat2235.weight_of_monomial({}).is_zero()
+@pytest.mark.parametrize("stabilized", [False, True])
+def test_closed_forms_satisfy_the_relations(stabilized):
+    """k_i * chi_i == chi for the closed form chi_i on every multiset with
+    N <= 5, 2 <= k_i <= 9 and prod(k_i) <= 300; stabilized, the closed form
+    chi_0 = (L - sum(L / k_i), (k_i - 1)_i) lies in the zero chi_0-coset,
+    or coset_key raises AmbiguousGrading when that free coordinate is 0."""
+    cases = [exps for n in range(1, 6) for exps in multisets(n, 2, 9, 300)]
+    assert len(cases) == 272
+    for exps in cases:
+        lat = build_character_lattice(exps, stabilized)
+        for i, k in enumerate(exps, start=1):
+            assert chi_i(lat, i).scaled(k) == lat.chi, (exps, i)
+        if not stabilized:
+            continue
+        if sum(Fraction(1, k) for k in exps) == 1:
+            with pytest.raises(AmbiguousGradingError):
+                lat.coset_key(*chi_0(lat)[:2])
+            continue
+        assert lat.coset_key(*chi_0(lat)[:2]) == lat.coset_key(0, (0,) * len(exps)), exps
 
 
 def test_variable_power_equals_chi(lat2235):
     for i, k in enumerate(lat2235.exponents, start=1):
-        assert lat2235.weight_of_monomial({i: k}) == lat2235.chi
+        assert monomial(lat2235, {i: k}) == lat2235.chi
 
 
 def test_all_duals_equal_minus_chi(lat2235):
-    w = lat2235.zero_weight()
-    for j in (0, 1, 2, 3, 4):
-        w = w - lat2235.variable_weight(j)
-    assert w == lat2235.zero_weight() - lat2235.chi
+    zero = lat2235.chi.scaled(0)
+    w = zero - chi_0(lat2235)
+    for j in (1, 2, 3, 4):
+        w = w - chi_i(lat2235, j)
+    assert w == zero - lat2235.chi
 
 
 def test_stabilizer_degree_relation(lat2235):
     # chi_0 = chi - (chi_1 + ... + chi_N)
-    total = lat2235.zero_weight()
+    w = lat2235.chi
     for i in range(1, 5):
-        total = total + lat2235.variable_weight(i)
-    assert lat2235.variable_weight(0) == lat2235.chi - total
-
-
-def test_negative_exponent_rejected(lat2235):
-    with pytest.raises(ValueError):
-        lat2235.weight_of_monomial({3: -1})
-
-
-@settings(deadline=None)
-@given(
-    a=st.dictionaries(st.integers(0, 4), st.integers(0, 6), max_size=5),
-    b=st.dictionaries(st.integers(0, 4), st.integers(0, 6), max_size=5),
-)
-def test_weight_additivity(lat2235, a, b):
-    total = {i: a.get(i, 0) + b.get(i, 0) for i in set(a) | set(b)}
-    assert (lat2235.weight_of_monomial(a) + lat2235.weight_of_monomial(b)
-            == lat2235.weight_of_monomial(total))
+        w = w - chi_i(lat2235, i)
+    assert w == chi_0(lat2235)
 
 
 def _multiple_of_chi(lat, w):
@@ -165,18 +193,18 @@ def _multiple_of_chi(lat, w):
 
 
 def test_is_multiple_of_chi_zero(lat2235):
-    assert _multiple_of_chi(lat2235, lat2235.zero_weight()) == 0
+    assert _multiple_of_chi(lat2235, lat2235.chi.scaled(0)) == 0
 
 
 def test_is_multiple_of_chi_rejects_chi1(lat2235):
-    chi1 = lat2235.variable_weight(1)
+    chi1 = chi_i(lat2235, 1)
     assert _multiple_of_chi(lat2235, chi1) is None
     # independent brute scan
     assert all(chi1 != lat2235.chi.scaled(u) for u in range(-10, 11))
 
 
 def test_is_multiple_of_chi_two_chi1(lat2235):
-    assert _multiple_of_chi(lat2235, lat2235.variable_weight(1).scaled(2)) == 1
+    assert _multiple_of_chi(lat2235, chi_i(lat2235, 1).scaled(2)) == 1
 
 
 def test_is_multiple_round_trip():
@@ -198,9 +226,7 @@ def test_multiples_of_chi_follow_the_integer_rule():
         lcm = math.lcm(*exps)
         f0 = lcm - sum(lcm // k for k in exps)
         for c0, *cs in itertools.product(range(-2, 3), repeat=len(exps) + 1):
-            w = lat.variable_weight(0).scaled(c0)
-            for i, c in enumerate(cs, start=1):
-                w = w + lat.variable_weight(i).scaled(c)
+            w = monomial(lat, dict(enumerate((c0, *cs))))
             total = sum(c * (lcm // k) for c, k in zip(cs, exps)) + c0 * f0
             rule = all((c - c0) % k == 0 for c, k in zip(cs, exps))
             assert (w == lat.chi.scaled(total // lcm)) == rule, (exps, c0, cs)
@@ -208,10 +234,10 @@ def test_multiples_of_chi_follow_the_integer_rule():
 
 
 def brute_a0(lat, u, partial, bound=1000):
-    chi0 = lat.variable_weight(0)
+    chi0 = chi_0(lat)
     target = lat.chi.scaled(u)
     for a0 in range(bound + 1):
-        if partial + chi0.scaled(a0) == target:
+        if target - chi0.scaled(a0) == partial:
             return a0
     return None
 
@@ -225,34 +251,35 @@ def coset_a0(lat, u, partial):
     target = lat.chi.scaled(u)
     if coset_key(lat, partial) != coset_key(lat, target):
         return None
-    a0, rest = divmod(target.free - partial.free, lat.variable_weight(0).free)
+    a0, rest = divmod(target.free - partial.free, chi_0(lat).free)
     assert rest == 0
     return a0 if a0 >= 0 else None
 
 
 def test_chi0_coset_zero(lat2235):
-    assert coset_a0(lat2235, 0, lat2235.zero_weight()) == 0
+    assert coset_a0(lat2235, 0, lat2235.chi.scaled(0)) == 0
 
 
 def test_chi0_coset_square_monomial(lat2235):
     # weight of z3^2 z4^2 needs exactly z0^2 to reach total degree zero
-    partial = lat2235.weight_of_monomial({3: 2, 4: 2})
+    partial = monomial(lat2235, {3: 2, 4: 2})
     assert coset_a0(lat2235, 0, partial) == 2
     assert brute_a0(lat2235, 0, partial) == 2
 
 
 def test_chi0_coset_negative_solution_is_none(lat2235):
-    assert coset_a0(lat2235, 5, lat2235.zero_weight()) is None
-    assert brute_a0(lat2235, 5, lat2235.zero_weight(), bound=100) is None
+    zero = lat2235.chi.scaled(0)
+    assert coset_a0(lat2235, 5, zero) is None
+    assert brute_a0(lat2235, 5, zero, bound=100) is None
 
 
 def test_chi0_coset_torsion_rejection(lat2235):
     # z3 z4: the free coordinate alone would admit a0 = 1, but the torsion
     # coordinate does not match, so the cosets differ.
-    partial = lat2235.weight_of_monomial({3: 1, 4: 1})
-    chi0 = lat2235.variable_weight(0)
+    partial = monomial(lat2235, {3: 1, 4: 1})
+    chi0 = chi_0(lat2235)
     assert (partial.free + 1 * chi0.free) == 0 == lat2235.chi.scaled(0).free
-    assert coset_key(lat2235, partial) != coset_key(lat2235, lat2235.zero_weight())
+    assert coset_key(lat2235, partial) != coset_key(lat2235, lat2235.chi.scaled(0))
     assert coset_a0(lat2235, 0, partial) is None
     assert brute_a0(lat2235, 0, partial) is None
 
@@ -261,17 +288,17 @@ def test_chi0_coset_agrees_with_brute_scan():
     # chi_0.free = L*q_0 is -2, -16 and -142 on these lattices
     for exps in [(2, 2, 3), (2, 2, 3, 5), (2, 2, 3, 5, 7)]:
         lat = build_character_lattice(exps, True)
-        chi0 = lat.variable_weight(0)
+        chi0 = chi_0(lat)
         n = len(exps)
         samples = [{}, {1: 1}, {3: 1}, {3: 2}, {1: 1, 2: 1, 3: 1},
                    {i: 1 for i in range(1, n + 1)}]
         for sample in samples:
-            partial = lat.weight_of_monomial(sample)
+            partial = monomial(lat, sample)
             # the key is the coordinates of partial - q*chi_0, q = partial.free // chi_0.free
             rest = partial - chi0.scaled(partial.free // chi0.free)
             assert coset_key(lat, partial) == (rest.free, *rest.torsion)
             for a in range(-3, 4):
-                assert coset_key(lat, partial + chi0.scaled(a)) == coset_key(lat, partial)
+                assert coset_key(lat, partial - chi0.scaled(a)) == coset_key(lat, partial)
             for u in range(-4, 5):
                 assert coset_a0(lat, u, partial) == brute_a0(lat, u, partial)
 
@@ -279,21 +306,24 @@ def test_chi0_coset_agrees_with_brute_scan():
 def test_chi0_coset_requires_stabilizer():
     lat = build_character_lattice((2, 2, 3, 5), False)
     with pytest.raises(ValueError):
-        coset_key(lat, lat.zero_weight())
+        coset_key(lat, lat.chi.scaled(0))
 
 
 def test_reciprocal_sum_one_is_ambiguous():
     lat = build_character_lattice((2, 3, 6), True)
-    assert lat.variable_weight(0).free == 0
+    assert chi_0(lat).free == 0
     with pytest.raises(AmbiguousGradingError):
-        coset_key(lat, lat.zero_weight())
+        coset_key(lat, lat.chi.scaled(0))
 
 
 def test_stabilizer_free_coordinate_tracks_reciprocal_sum():
-    # nonzero exactly when 1/k_1 + ... + 1/k_N != 1
-    assert build_character_lattice((3, 3, 3), True).variable_weight(0).free == 0
-    assert build_character_lattice((2, 2, 3, 5), True).variable_weight(0).free != 0
-    assert build_character_lattice((2, 3, 7), True).variable_weight(0).free != 0
+    # nonzero exactly when 1/k_1 + ... + 1/k_N != 1, and coset_key raises when it is 0
+    with pytest.raises(AmbiguousGradingError):
+        build_character_lattice((3, 3, 3), True).coset_key(0, (0, 0, 0))
+    for exps in [(2, 2, 3, 5), (2, 3, 7)]:
+        lat = build_character_lattice(exps, True)
+        assert chi_0(lat).free != 0
+        assert coset_key(lat, lat.chi.scaled(0)) == (0, *(0 for _ in exps))
 
 
 COORDINATE_MULTISETS = [
@@ -332,24 +362,16 @@ def test_closed_form_coordinates_match_the_smith_normal_form(stabilized):
     for exps in COORDINATE_MULTISETS:
         lat = build_character_lattice(exps, stabilized)
         n, lcm = len(exps), math.lcm(*exps)
-        gens = [lat.variable_weight(i) for i in range(1, n + 1)] + [lat.chi]
+        gens = [chi_i(lat, i) for i in range(1, n + 1)] + [lat.chi]
         relations = lat.relation_matrix
         decomp = smith_normal_decomp(Matrix(relations), domain=ZZ)
         d, u, vmat = decomp
         assert u * Matrix(relations) * vmat == d and abs(u.det()) == abs(vmat.det()) == 1, exps
 
         def weight(v):
-            w = lat.zero_weight()
-            for g, c in zip(gens, v):
-                w = w + g.scaled(c)
-            return w
+            return combination(lat, zip(gens, v))
 
         assert lat.chi.free == lcm, exps
-        for i, k in enumerate(exps, start=1):
-            assert lat.variable_weight(i).free == lcm // k, exps
-        if stabilized:
-            q0 = 1 - sum(Fraction(1, k) for k in exps)
-            assert lat.variable_weight(0).free == lcm * q0, exps
         for _ in range(20):
             x = [rng.randint(-30, 30) for _ in range(n + 1)]
             # Half the pairs differ by relations alone, so both answers occur.

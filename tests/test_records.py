@@ -94,4 +94,6 @@ def test_weight_defines_no_multiplication():
         w * 2
     with pytest.raises(TypeError):
         2 * w
-    assert w.scaled(2) == w + w
+    with pytest.raises(TypeError):
+        w + w
+    assert w.scaled(2) - w == w
