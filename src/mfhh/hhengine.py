@@ -46,11 +46,13 @@ dimension tables therefore never enumerate ker(chi); witnesses do, and each
 Each ``table`` or ``dimension`` call lists the strata after its budgets are
 checked; the engine keeps none of them.
 
-Within a stratum each degree costs one lookup.  A Jacobi
-monomial prod z_i^{a_i} (a_i <= k_i - 2) has weight (sum(a_i * L / k_i), a),
-its residues being its exponents, and lies on a stratum's fixed variables
-iff its support misses the moving set (a quadratic variable has only power
-0, so it is never in a support).  Let offset = sum(-chi_j, j in M), that
+A stratum moving z_0 costs one lookup per degree; a stratum fixing z_0
+either walks its c_0 candidates or makes one lookup per degree in the
+exponent box, whichever path lists fewer.  A Jacobi monomial
+prod z_i^{a_i} (a_i <= k_i - 2) has weight (sum(a_i * L / k_i), a), its
+residues being its exponents, and lies on a stratum's fixed variables iff
+its support misses the moving set (a quadratic variable has only power 0,
+so it is never in a support).  Let offset = sum(-chi_j, j in M), that
 is (-sum(L / k_j, j in M, j != 0) - [0 in M] f_0, ([0 in M] - [i in M]) mod
 k_i), and target = u * chi - offset with u = (k - #moving) / 2:
 
@@ -58,13 +60,29 @@ k_i), and target = u * chi - offset with u = (k - #moving) / 2:
   monomial iff target is zero, and nothing else: its target has residue 1
   on a moving polynomial variable (unstabilized) or k_i - 1 on a fixed one
   (stabilized, from chi_0), which no monomial on the fixed variables has;
-* a stratum fixing z_0 looks up the target's coset modulo integer multiples
-  of chi_0 (``CharacterLattice.coset_key``) in the exponent box, which each
-  stabilized call lists once, bucketed by the same key, for every k in
-  [k_min - 1, k_max].  A monomial in that bucket off the moving set has
-  weight + c_0 * chi_0 == target, c_0 = (target.free - weight.free) / f_0;
-  it is the even term a_0 = c_0 in degree k if c_0 >= 0, and its odd twin
-  a_0 = c_0 + 1 in degree k + 1 if c_0 >= -1, each only inside the window.
+* a stratum fixing z_0, with moving polynomial set P and fixed set F, has
+  the terms of the rule in integers: c_0 = -1 (mod k_j) on P, the monomial
+  a_i = c_0 mod k_i on F (a Jacobi power iff it is not k_i - 1) and a_i = 0
+  on P, and u = c_0 - sum(floor(c_0 / k_i), F) - sum((c_0 + 1) / k_j, P).
+  It is the even term a_0 = c_0 in degree k = 2u + |P| if c_0 >= 0, and its
+  odd twin a_0 = c_0 + 1 in degree k + 1 if c_0 >= -1, each only inside the
+  window.  So u lies in [u_lo, u_hi], the u with 2u + |P| in
+  [k_min - 1, k_max], and since c_0 * f_0 = L u + S_P - sum(a_i L / k_i, F)
+  with S_P = sum(L / k_j, P), the c_0 candidates are the c_0 >= -1 with
+  c_0 = -1 (mod lcm k_P) and c_0 * f_0 in [L u_lo + S_P - A, L u_hi + S_P],
+  A = sum((k_i - 2) L / k_i).
+
+A stabilized call first raises AmbiguousGradingError when f_0 = 0, then
+counts those candidates over every stratum fixing z_0.  If they are fewer
+than the prod(k_i - 1) vectors of the exponent box, each such stratum walks
+its own, in steps of lcm k_P, keeping the c_0 whose monomial is a Jacobi
+power on F.  Otherwise the call lists the exponent box once, bucketed by
+coset modulo integer multiples of chi_0 (``CharacterLattice.coset_key``),
+and each such stratum looks up the target's coset for every k in
+[k_min - 1, k_max].  A monomial in that bucket off the moving set has
+weight + c_0 * chi_0 == target, c_0 = (target.free - weight.free) / f_0,
+and gives the terms above.  Both paths accept the same terms, so the
+choice changes no count, max a_0 or witness; the walk calls no coset_key.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of
 ker(chi), every Jacobi monomial on its fixed variables and a_0 over a finite
@@ -206,6 +224,14 @@ def oracle_bounds(exponents: Sequence[int], stabilized: bool,
     return (u_bound + n) * lcm // abs(f0) + 1, u_bound
 
 
+def _walk_is_shorter(walk_len: int, box_len: int) -> bool:
+    """Whether a stabilized table walks the walk_len c_0 candidates of its
+    strata fixing z_0 rather than list the box_len exponent vectors.  The
+    walk is the faster path wherever it lists fewer; where it lists many
+    more, as on 2,3,7,43 (|f_0| = 1), the box is several times faster."""
+    return walk_len < box_len
+
+
 class HochschildEngine:
     """Shared setup (lattice) for computing many degrees of one
     polynomial.  Immutable after construction, apart from the lazily
@@ -228,9 +254,13 @@ class HochschildEngine:
 
     def _count(self, ks: Sequence[int], want_witnesses: bool) -> tuple[list[DegreeDimension], int]:
         """Rows for the consecutive degrees ``ks``, and the largest
-        stabilizer power a_0 they accepted: each stratum's terms, found by
-        one lookup per degree, count with its multiplicity.  Strata and the
-        box live for this call only."""
+        stabilizer power a_0 they accepted: each stratum's terms count with
+        its multiplicity.  A stratum moving z_0 makes one lookup per degree.
+        A stabilized call raises AmbiguousGradingError when f_0 = 0, then
+        counts the c_0 candidates of its strata fixing z_0; if they are
+        fewer than the exponent box, those strata walk them, otherwise they
+        make one lookup per degree in the box (see the module docstring).
+        Strata, candidates and the box live for this call only."""
         lat = self.lattice
         strata = lat.moving_set_counts()
         pairs = len(strata) * len(ks)
@@ -243,46 +273,79 @@ class HochschildEngine:
         exps = self.polynomial.exponents
         steps = [chi.free // k for k in exps]
         f0 = chi.free - sum(steps)  # the free coordinate of chi_0
-        # Only strata fixing z_0 search the exponent box, so only a stabilized
-        # call lists it, bucketed by coset_key; a support has bit i for z_i.
+        k_min, k_max = ks[0], ks[-1]
+        # Only strata fixing z_0 walk c_0 or search the box, so only a
+        # stabilized call lists either.  Each such stratum's c_0 candidates,
+        # from the module docstring, are one range in steps of lcm k_P.
+        walks = {}
         by_coset = {}
         if stabilized:
-            bits = [1 << i for i in range(1, len(exps) + 1)]
-            for a in itertools.product(*(range(k - 1) for k in exps)):
-                free = sum(x * step for x, step in zip(a, steps))
-                support = sum(bit for x, bit in zip(a, bits) if x)
-                by_coset.setdefault(lat.coset_key(free, a), []).append((a, free, support))
+            _scaled_stabilizer_degree(exps)  # AmbiguousGradingError when f_0 = 0
+            slack = sum((k - 2) * step for k, step in zip(exps, steps))  # A
+            for moving in strata:
+                if 0 in moving:
+                    continue
+                u_lo, u_hi = -((len(moving) + 1 - k_min) // 2), (k_max - len(moving)) // 2
+                s_p = sum(steps[j - 1] for j in moving)
+                lo, hi = chi.free * u_lo + s_p - slack, chi.free * u_hi + s_p
+                if f0 < 0:
+                    lo, hi = -hi, -lo
+                first = max(-1, -(-lo // abs(f0)))
+                period = math.lcm(*(exps[j - 1] for j in moving))
+                walks[moving] = range(first + (-1 - first) % period, hi // abs(f0) + 1, period)
+            if not _walk_is_shorter(sum(map(len, walks.values())), math.prod(k - 1 for k in exps)):
+                walks = {}
+                # The exponent box, bucketed by coset_key; a support has bit i for z_i.
+                bits = [1 << i for i in range(1, len(exps) + 1)]
+                for a in itertools.product(*(range(k - 1) for k in exps)):
+                    free = sum(x * step for x, step in zip(a, steps))
+                    support = sum(bit for x, bit in zip(a, bits) if x)
+                    by_coset.setdefault(lat.coset_key(free, a), []).append((a, free, support))
 
         counts = {k: 0 for k in ks}
         max_a0 = 0
         accepted = {}  # moving set -> [(k, summand, exponent vector, u)]
-        k_min, k_max = ks[0], ks[-1]
         for moving, mult in strata.items():
-            z0_moves = 0 in moving
-            z0_fixed = stabilized and not z0_moves
-            moving_bits = sum(1 << i for i in moving)
-            # -sum(chi_j, j in M), read off chi_j = (L / k_j, e_j) and chi_0.
-            dual = Weight(-sum(steps[j - 1] for j in moving if j) - z0_moves * f0,
-                          tuple((z0_moves - (i in moving)) % k
-                                for i, k in enumerate(exps, start=1)), exps)
             terms = []
-            # Degrees with integral u, from k_min - 1 when z_0 is fixed: its odd twins land in k_min.
-            first = k_min - z0_fixed
-            for k in range(first + (first - len(moving)) % 2, k_max + 1, 2):
-                u = (k - len(moving)) // 2
-                target = chi.scaled(u) - dual
-                if not z0_fixed:
-                    if target.is_zero():
-                        terms.append((k, EVEN, (0, *target.torsion) if stabilized else target.torsion, u))
-                    continue
-                for a, free, support in by_coset.get(lat.coset_key(target.free, target.torsion), ()):
-                    c0 = (target.free - free) // f0
-                    if c0 < -1 or support & moving_bits:
+            if moving in walks:
+                # The rule in integers: a_i = c_0 mod k_i must be a Jacobi
+                # power on F, and u = c_0 - sum(floor((c_0 + [i in P]) / k_i)).
+                on_p = [(k, i in moving) for i, k in enumerate(exps, start=1)]
+                for c0 in walks[moving]:
+                    a = tuple(0 if moved else c0 % k for k, moved in on_p)
+                    if any(x == k - 1 for x, k in zip(a, exps)):
                         continue
-                    if c0 >= 0 and k >= k_min:
+                    u = c0 - sum((c0 + moved) // k for k, moved in on_p)
+                    k = 2 * u + len(moving)
+                    if c0 >= 0 and k_min <= k <= k_max:
                         terms.append((k, EVEN, (c0, *a), u))
-                    if k < k_max:
+                    if k_min <= k + 1 <= k_max:
                         terms.append((k + 1, ODD, (c0 + 1, *a), u))
+            else:
+                z0_moves = 0 in moving
+                z0_fixed = stabilized and not z0_moves
+                moving_bits = sum(1 << i for i in moving)
+                # -sum(chi_j, j in M), read off chi_j = (L / k_j, e_j) and chi_0.
+                dual = Weight(-sum(steps[j - 1] for j in moving if j) - z0_moves * f0,
+                              tuple((z0_moves - (i in moving)) % k
+                                    for i, k in enumerate(exps, start=1)), exps)
+                # Degrees with integral u, from k_min - 1 when z_0 is fixed: its odd twins land in k_min.
+                first = k_min - z0_fixed
+                for k in range(first + (first - len(moving)) % 2, k_max + 1, 2):
+                    u = (k - len(moving)) // 2
+                    target = chi.scaled(u) - dual
+                    if not z0_fixed:
+                        if target.is_zero():
+                            terms.append((k, EVEN, (0, *target.torsion) if stabilized else target.torsion, u))
+                        continue
+                    for a, free, support in by_coset.get(lat.coset_key(target.free, target.torsion), ()):
+                        c0 = (target.free - free) // f0
+                        if c0 < -1 or support & moving_bits:
+                            continue
+                        if c0 >= 0 and k >= k_min:
+                            terms.append((k, EVEN, (c0, *a), u))
+                        if k < k_max:
+                            terms.append((k + 1, ODD, (c0 + 1, *a), u))
             for k, _, vector, _ in terms:
                 counts[k] += mult
                 max_a0 = max(max_a0, vector[0])  # a_0, or 0 on an unstabilized unit monomial

@@ -308,9 +308,9 @@ def test_engine_keeps_no_state():
 
 
 def test_table_builds_no_jacobi_basis(monkeypatch):
-    """table and dimension count from one box of exponent vectors, in closed
-    form, so they run with jacobi_basis broken; the oracle still builds its
-    bases with it.  Dimensions, max a_0 and a digest of the witnesses (all
+    """table and dimension count from the c_0 walk or one box of exponent
+    vectors, in closed form, so they run with jacobi_basis broken; the
+    oracle still builds its bases with it.  Dimensions, max a_0 and a digest of the witnesses (all
     fields but gamma, which gamma_index names) are the values of the engine
     that built per-fixed-set bases."""
     def broken(exponents):
@@ -333,6 +333,27 @@ def test_table_builds_no_jacobi_basis(monkeypatch):
         assert engine.dimension(4).dim == dims[8]
         with pytest.raises(AssertionError, match="jacobi_basis called"):
             engine.bruteforce_table(1, 4)
+
+
+def test_gated_instances_keep_their_path(monkeypatch):
+    """The {2,2} + four odd primes family walks c_0 over [-10, 10], so its
+    tables call no coset_key and equal the exponent box's; 2,3,7 and
+    2,3,7,43 list fewer box vectors than c_0 candidates and still key the
+    box with coset_key."""
+    family = [DiagonalPolynomial((2, 2, *odd), True)
+              for odd in itertools.combinations((3, 5, 7, 11, 13), 4)]
+    with monkeypatch.context() as m:
+        m.setattr(mfhh.hhengine, "_walk_is_shorter", lambda walk_len, box_len: False)
+        boxed = [HochschildEngine(p).table(-10, 10) for p in family]
+
+    def refuse(self, free, residues):
+        raise AssertionError("coset_key called")
+
+    monkeypatch.setattr(CharacterLattice, "coset_key", refuse)
+    assert [HochschildEngine(p).table(-10, 10) for p in family] == boxed
+    for exps in ((2, 3, 7), (2, 3, 7, 43)):
+        with pytest.raises(AssertionError, match="coset_key called"):
+            HochschildEngine(DiagonalPolynomial(exps, True)).table(-10, 10)
 
 
 # -- strata moving z_0 -----------------------------------------------------------------

@@ -8,23 +8,25 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import ceil, floor, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfhh.hhengine
 from mfhh.charlat import AmbiguousGradingError, CharacterLattice, build_character_lattice
 from mfhh.diagpoly import DiagonalPolynomial
 from mfhh.hhengine import HochschildEngine, oracle_bounds
 
-SMALL_MULTISETS = [
+MULTISETS = [
     exps
-    for n in range(1, 5)
+    for n in range(1, 6)
     for exps in itertools.combinations_with_replacement(range(2, 10), n)
     if prod(exps) <= 300
 ]
+SMALL_MULTISETS = [exps for exps in MULTISETS if len(exps) <= 4]
 
 
 @pytest.mark.parametrize("stabilized", [False, True])
@@ -56,9 +58,19 @@ def residue_table(exps, stabilized, k_min, k_max):
     i.  So c_0 names the monomial (a_i = c_0 mod k_i, a Jacobi power iff it
     is at most k_i - 2) and u = c_0 q_0 + sum_F a_i/k_i - sum_M 1/k_j, with
     q_0 = 1 - sum(1/k_i).
+
+    Stabilized, c_0 runs over [-shift, a0_bound - shift] with a0_bound from
+    ``oracle_bounds``, cut to the c_0 whose c_0 q_0 lies within N of some u
+    with 2u in [k_min - N - 2, k_max], since 2u = k - #M - shift and
+    c_0 q_0 - u = sum_M 1/k_j - sum_F a_i/k_i is in (-N, N].  That cut keeps
+    a window far from 0 from scanning every a_0 below it.
     """
     q0 = 1 - sum(Fraction(1, k) for k in exps)
     a0_bound = oracle_bounds(exps, stabilized, k_min, k_max)[0]
+    n = len(exps)
+    if stabilized:
+        near = sorted(bound / q0 for bound in (Fraction(k_min - n - 2, 2) - n, Fraction(k_max, 2) + n))
+        c0_min, c0_max = ceil(near[0]), floor(near[1])
     dims = dict.fromkeys(range(k_min, k_max + 1), 0)
     max_a0 = 0
     for moving, mult in build_character_lattice(exps, stabilized).moving_set_counts().items():
@@ -67,7 +79,8 @@ def residue_table(exps, stabilized, k_min, k_max):
         elif 0 in moving:
             choices = [(-1, 0)]
         else:
-            choices = [(a0 - shift, shift) for a0 in range(a0_bound + 1) for shift in (0, 1)]
+            choices = [(c0, shift) for shift in (0, 1)
+                       for c0 in range(max(-shift, c0_min), min(a0_bound - shift, c0_max) + 1)]
         moved = [exps[j - 1] for j in moving if j]
         fixed = [k for i, k in enumerate(exps, start=1) if i not in moving]
         for c0, shift in choices:
@@ -102,6 +115,48 @@ def test_residue_rule_matches_table():
                 assert ([r.dim for r in report.dimensions], report.max_a0) == \
                     residue_table(exps, stabilized, k_min, k_max), (exps, stabilized)
     assert instances == 238
+
+
+def _force_path(monkeypatch, walk):
+    """Make every stabilized table walk c_0 (walk=True) or search the exponent box."""
+    monkeypatch.setattr(mfhh.hhengine, "_walk_is_shorter", lambda walk_len, box_len: walk)
+
+
+@pytest.mark.parametrize("window", ["near", "far"])
+def test_walk_and_box_agree_with_the_residue_rule(monkeypatch, window):
+    """With the choice forced either way, every stabilized multiset with
+    N <= 5, k <= 9 and prod(k) <= 300 gives the residue rule's dims and
+    max a_0 over [-2N-12, 2N+12] or [10^4, 10^4 + 8], and both paths give
+    the same witnesses where prod(k) <= 60."""
+    checked = 0
+    for exps in MULTISETS:
+        n = len(exps)
+        k_min, k_max = (-2 * n - 12, 2 * n + 12) if window == "near" else (10**4, 10**4 + 8)
+        witnesses = prod(exps) <= 60
+        try:
+            expected = residue_table(exps, True, k_min, k_max)
+        except AmbiguousGradingError:
+            continue
+        reports = []
+        for walk in (True, False):
+            _force_path(monkeypatch, walk)
+            reports.append(HochschildEngine(DiagonalPolynomial(exps, True)).table(k_min, k_max, witnesses))
+        walked, boxed = reports
+        assert walked == boxed, (exps, k_min)
+        assert ([r.dim for r in walked.dimensions], walked.max_a0) == expected, (exps, k_min)
+        checked += 1
+    assert checked == 266
+
+
+@pytest.mark.parametrize("walk", [True, False])
+@pytest.mark.parametrize("exps", [(3, 3, 3), (2, 3, 6), (2, 4, 4)])
+def test_torsion_stabilizer_raises_on_either_path(monkeypatch, exps, walk):
+    _force_path(monkeypatch, walk)
+    engine = HochschildEngine(DiagonalPolynomial(exps, True))
+    for witnesses in (False, True):
+        with pytest.raises(AmbiguousGradingError,
+                           match=re.escape(f"stabilizer degree is torsion for exponents {exps}")):
+            engine.table(-4, 4, witnesses)
 
 
 GOLDEN = Path(__file__).parent / "data"
