@@ -351,7 +351,14 @@ def main() -> None:
     import signal  # here, not in run(), which tests and the benchmark call in-process
     if hasattr(signal, "SIGPIPE"):  # a reader that closes the pipe (| head) ends us quietly
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # The answer is printed, and the process ends next.  Interpreter
+    # shutdown would run the cycle collector over every object still alive,
+    # for nothing; freezing moves them out of its reach.  Reference counting,
+    # stdout flushing and atexit handlers still run (os._exit would skip them).
+    import gc
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

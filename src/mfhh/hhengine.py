@@ -260,7 +260,10 @@ class HochschildEngine:
         counts the c_0 candidates of its strata fixing z_0; if they are
         fewer than the exponent box, those strata walk them, otherwise they
         make one lookup per degree in the box (see the module docstring).
-        Strata, candidates and the box live for this call only."""
+        Strata, candidates and the box live for this call only.  Each
+        accepted term goes straight into its degree's count and the running
+        largest a_0; only a call that wants witnesses keeps a per-stratum
+        list of its terms, so a plain table holds no per-term list."""
         lat = self.lattice
         strata = lat.moving_set_counts()
         pairs = len(strata) * len(ks)
@@ -303,10 +306,10 @@ class HochschildEngine:
                     by_coset.setdefault(lat.coset_key(free, a), []).append((a, free, support))
 
         counts = {k: 0 for k in ks}
-        max_a0 = 0
-        accepted = {}  # moving set -> [(k, summand, exponent vector, u)]
+        max_a0 = 0  # the largest accepted a_0; a unit monomial off z_0 has a_0 = 0
+        accepted = {}  # moving set -> [(k, summand, exponent vector, u)], for witnesses only
         for moving, mult in strata.items():
-            terms = []
+            terms = accepted.setdefault(moving, []) if want_witnesses else None
             if moving in walks:
                 # The rule in integers: a_i = c_0 mod k_i must be a Jacobi
                 # power on F, and u = c_0 - sum(floor((c_0 + [i in P]) / k_i)).
@@ -318,9 +321,15 @@ class HochschildEngine:
                     u = c0 - sum((c0 + moved) // k for k, moved in on_p)
                     k = 2 * u + len(moving)
                     if c0 >= 0 and k_min <= k <= k_max:
-                        terms.append((k, EVEN, (c0, *a), u))
+                        counts[k] += mult
+                        max_a0 = max(max_a0, c0)
+                        if want_witnesses:
+                            terms.append((k, EVEN, (c0, *a), u))
                     if k_min <= k + 1 <= k_max:
-                        terms.append((k + 1, ODD, (c0 + 1, *a), u))
+                        counts[k + 1] += mult
+                        max_a0 = max(max_a0, c0 + 1)
+                        if want_witnesses:
+                            terms.append((k + 1, ODD, (c0 + 1, *a), u))
             else:
                 z0_moves = 0 in moving
                 z0_fixed = stabilized and not z0_moves
@@ -336,21 +345,24 @@ class HochschildEngine:
                     target = chi.scaled(u) - dual
                     if not z0_fixed:
                         if target.is_zero():
-                            terms.append((k, EVEN, (0, *target.torsion) if stabilized else target.torsion, u))
+                            counts[k] += mult
+                            if want_witnesses:
+                                terms.append((k, EVEN, (0, *target.torsion) if stabilized else target.torsion, u))
                         continue
                     for a, free, support in by_coset.get(lat.coset_key(target.free, target.torsion), ()):
                         c0 = (target.free - free) // f0
                         if c0 < -1 or support & moving_bits:
                             continue
                         if c0 >= 0 and k >= k_min:
-                            terms.append((k, EVEN, (c0, *a), u))
+                            counts[k] += mult
+                            max_a0 = max(max_a0, c0)
+                            if want_witnesses:
+                                terms.append((k, EVEN, (c0, *a), u))
                         if k < k_max:
-                            terms.append((k + 1, ODD, (c0 + 1, *a), u))
-            for k, _, vector, _ in terms:
-                counts[k] += mult
-                max_a0 = max(max_a0, vector[0])  # a_0, or 0 on an unstabilized unit monomial
-            if want_witnesses:
-                accepted[moving] = terms
+                            counts[k + 1] += mult
+                            max_a0 = max(max_a0, c0 + 1)
+                            if want_witnesses:
+                                terms.append((k + 1, ODD, (c0 + 1, *a), u))
         wits = {k: [] for k in ks}
         if want_witnesses:
             total = sum(counts.values())

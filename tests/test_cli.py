@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -122,6 +123,30 @@ def test_wide_window_on_few_large_exponents_is_fast():
     assert code == 0
     assert out.encode() == (GOLDEN / "hh_10x5_stabilized_wide.csv").read_bytes()
     assert elapsed < 15.0, f"took {elapsed:.1f}s"
+
+
+def test_wide_window_answers_under_an_address_space_cap():
+    """A plain table counts each accepted term into its degree and keeps no
+    list of terms: 2,3,7,43 over 5000 degrees accepts millions of terms,
+    all within every budget, and the console script answers them under a
+    256 MB address-space cap (keeping each term took over 400 MB)."""
+    resource = pytest.importorskip("resource")
+    cap = 256 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = Path(mfhh.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", "from mfhh.cli import main; main()", "hh", "--exponents",
+         "2,3,7,43", "--stabilize", "--k-min", "0", "--k-max", "4999", "--format", "csv"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr[-2000:]
+    lines = result.stdout.splitlines()
+    assert len(lines) == 5001 and lines[0] == "k,dim"
+    golden = (GOLDEN / "hh_23743_stabilized_wide.csv").read_text().splitlines()
+    assert lines[1:201] == golden[golden.index("0,1"):]
 
 
 def test_no_floating_point_anywhere():
@@ -455,6 +480,33 @@ def test_closed_pipe_ends_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("group", "--exponents", "2,3,5", "--stabilize", "--format", "json"), 0),
+    (("milnor", "--exponents", "2,2,3,5"), 0),
+    (("hh", "--exponents", "2,2,3,5", "--stabilize", "--witnesses"), 0),
+    (("verify", "--exponents", "2,2,3,5", "--stabilize"), 0),
+    (("oracle", "--exponents", "2,2,3", "--stabilize"), 0),
+    (("oracle", "--exponents", "2,2,3", "--stabilize", "--parallel", "2"), 1),  # usage
+    (("verify", "--exponents", "2,3,5", "--stabilize"), 3),  # hypotheses not met
+    (("hh", "--exponents", "2,2,101,103,107,109", "--stabilize"), 4),  # Budget
+    (("hh", "--exponents", "2,3,6", "--stabilize"), 4),  # AmbiguousGrading
+])
+def test_console_entry_matches_run(argv, expected, capsys):
+    """The console script freezes the collector's heap after answering; what
+    it prints and returns is what ``run()`` does in-process, and ``run()``
+    itself freezes nothing."""
+    frozen = gc.get_freeze_count()
+    code, out = invoke(*argv)
+    assert gc.get_freeze_count() == frozen
+    err = capsys.readouterr().err
+    assert code == expected
+    src = Path(mfhh.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", "from mfhh.cli import main; main()", *argv],
+                            capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
 def test_public_names_resolve():

@@ -288,6 +288,25 @@ def test_table_rows_equal_single_degrees(exps):
             assert single.dimension(row.degree, witnesses) == row
 
 
+@pytest.mark.parametrize("exps, stabilized, k_min, k_max", [
+    ((2, 2, 3, 5, 7), True, -10, 10),     # the c_0 walk
+    ((2, 3, 7, 43), True, -40, 40),       # the exponent box (|f_0| = 1)
+    ((3, 4, 5), False, -6, 6),            # only the identity stratum counts
+])
+def test_plain_and_witness_tables_agree(exps, stabilized, k_min, k_max):
+    """A plain table counts each term as it is accepted and keeps no term
+    list; a witness table keeps one.  Both give the same rows and the same
+    largest a_0, which is the largest witness a_0."""
+    p = DiagonalPolynomial(exps, stabilized)
+    plain = HochschildEngine(p).table(k_min, k_max)
+    witnessed = HochschildEngine(p).table(k_min, k_max, witnesses=True)
+    assert plain.dimensions == tuple(row._replace(witnesses=None) for row in witnessed.dimensions)
+    assert plain.max_a0 == witnessed.max_a0
+    if stabilized:
+        assert plain.max_a0 == max(w.exponents[0] for row in witnessed.dimensions
+                                   for w in row.witnesses)
+
+
 def _state(engine):
     """The engine's attributes apart from the lazily enumerated kernel, with
     dict values copied so that later mutation shows."""
