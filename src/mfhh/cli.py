@@ -14,11 +14,21 @@ Subcommands:
 * ``oracle`` -- bounded rescan compared against the closed-form engine
   (exit 0 iff they agree on every degree)
 
+Options take their value spaced (``--k-min -4``) or after ``=``
+(``--format=csv``); a long option may be cut to any unique prefix
+(``--stab``; ``--k-m`` is ambiguous); the last of a repeated option wins;
+``-h``/``--help`` prints help wherever it is reached, before or after the
+subcommand.  Usage errors print the usage line and ``mfhh: error: ...`` to
+stderr.
+
 Reports contain only exact integers and reduced fraction strings; JSON
-output is canonical (fixed key order, no whitespace) so re-serializing a
-parsed report reproduces it byte for byte.  Exit codes: 1 for usage errors,
-4 when a computation aborts on AmbiguousGrading or Budget (the error name
-goes to stderr).  Budget is checked before anything is enumerated: every
+output is canonical (fixed key order, no whitespace, strings escaped as
+``json.dumps`` escapes them) so re-serializing a parsed report reproduces
+it byte for byte.  The console script flushes its output and ends by
+``os._exit``, skipping interpreter shutdown; ``run()`` never exits.
+
+Exit codes: 1 for usage errors, 4 when a computation aborts on
+AmbiguousGrading or Budget (the error name goes to stderr).  Budget is checked before anything is enumerated: every
 subcommand that builds the engine (all but ``milnor``) refuses instances
 with prod(k_i) = |ker chi| above 10^5; ``hh`` and ``oracle`` refuse degree
 windows of more than 10^4 degrees, and windows whose degrees times
@@ -32,8 +42,6 @@ default).  These bound the size of every enumeration and scan, not its time.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 from mfhh.charlat import AmbiguousGradingError, GroupElement
@@ -51,67 +59,200 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
+def _echo(text: str) -> str:
+    """``text`` quoted for an error message, cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
     try:
         exps = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and any(len(part) > limit for part in text.split(",")):
+            raise ValueError(f"an exponent is longer than {limit} digits, the most Python"
+                             f" converts: {_echo(text)}") from None
+        raise ValueError(f"not a comma-separated integer list: {_echo(text)}") from None
     if not exps:
-        raise argparse.ArgumentTypeError("exponent list is empty")
+        raise ValueError("exponent list is empty")
     if any(k < 2 for k in exps):
-        raise argparse.ArgumentTypeError("every exponent must be >= 2")
+        raise ValueError("every exponent must be >= 2")
     return exps
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mfhh", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
-    def add_common(p, command, hh=False, k_range=False, bounds=False):
-        p.set_defaults(command=command, k_min=None, k_max=None, witnesses=False,
-                       a0_bound=None, u_bound=None, parallel=1)
-        p.add_argument("--exponents", required=True, type=_parse_exponents,
-                       metavar="k1,k2,...", help="diagonal exponents, each >= 2")
-        p.add_argument("--stabilize", action="store_true",
-                       help="adjoin the extra degree-compensating variable z0")
-        p.add_argument("--format", dest="fmt", default="table",
-                       choices=["table", "json", "csv"] if hh else ["table", "json"])
-        if hh:
-            p.add_argument("--parallel", type=int, metavar="N",
-                           help="accepted for compatibility; has no effect")
-        if k_range:
-            p.add_argument("--k-min", type=int)
-            p.add_argument("--k-max", type=int)
-        if hh:
-            p.add_argument("--witnesses", action="store_true",
-                           help="list every contribution behind each dimension")
-        if bounds:
-            p.add_argument("--a0-bound", type=int, metavar="B",
-                           help="stabilizer-power scan bound (default: a-priori bound"
-                                " from the degree equation)")
-            p.add_argument("--u-bound", type=int, metavar="U",
-                           help="largest |u| of a counted chi-multiple u*chi (default:"
-                                " a-priori bound for the range)")
 
-    add_common(sub.add_parser("group", help="print the symmetry group data"), cmd_group)
-    add_common(sub.add_parser("milnor", help="print the Milnor number"), cmd_milnor)
-    add_common(sub.add_parser("hh", help="print the dimension table"), cmd_hh,
-               hh=True, k_range=True)
-    add_common(sub.add_parser("verify", help="check the closed-form predictions"), cmd_verify)
-    add_common(sub.add_parser("oracle", help="compare the bounded rescan with the engine"),
-               cmd_oracle, k_range=True, bounds=True)
-    return parser
+def _choice(*names):
+    def convert(text: str) -> str:
+        if text not in names:
+            choices = ", ".join(map(repr, names))
+            raise ValueError(f"invalid choice: {text!r} (choose from {choices})")
+        return text
+    return convert
+
+
+# -- command-line grammar -----------------------------------------------------
+#
+# One row per option: the name errors give it, the attribute it sets, its
+# converter (None for a flag, which sets True; a converter raises ValueError
+# with the message), the placeholder usage shows for its value, and its help
+# line.  _COMMANDS lists each subcommand's rows, and _parse reads a command
+# line by them with the grammar argparse gave (see the module docstring),
+# down to the texts of its usage errors.
+
+_HELP = ("-h/--help", None, None, None, "show this help message and exit")
+_EXPONENTS = ("--exponents", "exponents", _parse_exponents, "k1,k2,...",
+              "diagonal exponents, each >= 2 (required)")
+_STABILIZE = ("--stabilize", "stabilize", None, None,
+              "adjoin the extra degree-compensating variable z0")
+_FORMAT = ("--format", "fmt", _choice("table", "json"), "{table,json}", "output format")
+_HH_FORMAT = ("--format", "fmt", _choice("table", "json", "csv"), "{table,json,csv}",
+              "output format")
+_PARALLEL = ("--parallel", "parallel", _int, "N", "accepted for compatibility; has no effect")
+_K_MIN = ("--k-min", "k_min", _int, "K_MIN", "lowest degree (default -2n, n = N - 1)")
+_K_MAX = ("--k-max", "k_max", _int, "K_MAX", "highest degree (default 2n)")
+_WITNESSES = ("--witnesses", "witnesses", None, None,
+              "list every contribution behind each dimension")
+_A0_BOUND = ("--a0-bound", "a0_bound", _int, "B",
+             "stabilizer-power scan bound (default: a-priori bound from the degree equation)")
+_U_BOUND = ("--u-bound", "u_bound", _int, "U",
+            "largest |u| of a counted chi-multiple u*chi (default: a-priori bound for the range)")
+_DEFAULTS = {"exponents": None, "stabilize": False, "fmt": "table", "parallel": 1,
+             "k_min": None, "k_max": None, "witnesses": False, "a0_bound": None, "u_bound": None}
+
+
+def _options(*rows) -> dict:
+    return {"-h": _HELP, "--help": _HELP, **{row[0]: row for row in rows}}
+
+
+class _Args:
+    """The options of one command line, as attributes named by the rows."""
+
+    def __init__(self, command, values):
+        self.command = command
+        self.__dict__.update(values)
+
+
+def _is_negative_number(token: str) -> bool:
+    """argparse's ``^-\\d+$|^-\\d*\\.\\d+$``: such a token is a value, not an option."""
+    whole, dot, fraction = token[1:].partition(".")
+    return fraction.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+
+
+def _lookup(token: str, options: dict):
+    """None for a positional token; (row, value after "=" or None) for an
+    option of ``options``; (None, None) for any other option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return options[token], None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return options[name], value
+    if token[1] == "-":
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return options[matches[0]], value if eq else None
+    elif token[:2] in options:  # -hX
+        return options[token[:2]], token[2:]
+    return None if _is_negative_number(token) or " " in token else (None, None)
+
+
+def _classify(tokens: list, options: dict) -> list:
+    """_lookup of every token before "--".  All are classified before any
+    is read, so an ambiguous prefix is reported first, as argparse did."""
+    if "--" in tokens:
+        tokens = tokens[:tokens.index("--")]
+    return [_lookup(token, options) for token in tokens]
+
+
+def _convert(name: str, convert, text: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise _UsageError(f"argument {name}: {exc}") from None
+
+
+def _parse(argv):
+    """The parsed options of ``argv``, or None once help is printed.
+    Raises _UsageError after printing the usage line to stderr."""
+    command, tokens = None, list(argv)
+    values, leftovers = dict(_DEFAULTS), []
+    try:
+        found, i = _classify(tokens, _options()), 0
+        while i < len(tokens):
+            token, kind = tokens[i], found[i] if i < len(found) else None
+            i += 1
+            if kind is None and command is None:
+                command = _convert("subcommand", _choice(*_COMMANDS), token)
+                tokens = tokens[i:]
+                found, i = _classify(tokens, _options(*_COMMANDS[command][2])), 0
+                continue
+            if token == "--":  # what follows is positional, and no option takes it
+                leftovers += tokens[i - 1:]
+                break
+            if kind is None or kind[0] is None:
+                leftovers.append(token)
+                continue
+            (name, attr, convert, _, _), value = kind
+            if convert is None:  # a flag, or -h/--help
+                if value is not None:
+                    raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+                if attr is None:
+                    print(_help(command))
+                    return None
+                values[attr] = True
+                continue
+            if value is None:
+                if i == len(found) or found[i] is not None:
+                    raise _UsageError(f"argument {name}: expected one argument")
+                value = tokens[i]
+                i += 1
+            values[attr] = _convert(name, convert, value)
+        if command is None:
+            raise _UsageError("the following arguments are required: subcommand")
+        if values["exponents"] is None:
+            raise _UsageError("the following arguments are required: --exponents")
+        if leftovers:
+            raise _UsageError(f"unrecognized arguments: {' '.join(leftovers)}")
+    except _UsageError:
+        print(_usage(command), file=sys.stderr)
+        raise
+    return _Args(_COMMANDS[command][0], values)
+
+
+def _spelled(row) -> str:
+    return row[0] if row[3] is None else f"{row[0]} {row[3]}"
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: mfhh [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = (_spelled(row) if row is _EXPONENTS else f"[{_spelled(row)}]"
+             for row in _COMMANDS[command][2])
+    return " ".join([f"usage: mfhh {command} [-h]", *words])
+
+
+def _help(command) -> str:
+    if command is None:
+        lines = [__doc__, "subcommands (mfhh SUBCOMMAND -h lists its options):",
+                 *(f"  {name:<8}{summary}" for name, (_, summary, _) in _COMMANDS.items())]
+    else:
+        _, summary, rows = _COMMANDS[command]
+        lines = [summary, "", "options:",
+                 *(f"  {_spelled(row):<26}{row[4]}" for row in (_HELP, *rows))]
+    return "\n".join([_usage(command), "", *lines])
 
 
 def _check_args(args) -> None:
-    """Reject option combinations argparse cannot express, and fill in the
+    """Reject option values the option tables cannot, and fill in the
     default degree window [-2n, 2n]."""
     n = len(args.exponents) - 1
     if args.k_min is None:
@@ -129,9 +270,51 @@ def _check_args(args) -> None:
 
 
 def canonical_json(payload) -> str:
-    """Serializer used for every JSON report: fixed key order as built,
-    no whitespace, no floats anywhere."""
-    return json.dumps(payload, separators=(",", ":"))
+    """Serializer used for every JSON report: fixed key order as built, no
+    whitespace, strings escaped as ``json.dumps`` escapes them by default.
+    Reports hold only dicts with str keys, lists, tuples, bools, ints and
+    strs; anything else raises TypeError."""
+    if isinstance(payload, str):
+        return _json_string(payload)
+    if isinstance(payload, bool):
+        return "true" if payload else "false"
+    if isinstance(payload, int):
+        return int.__repr__(payload)
+    if isinstance(payload, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, payload)) + "]"
+    if isinstance(payload, dict):
+        items = (f"{_json_key(k)}:{canonical_json(v)}" for k, v in payload.items())
+        return "{" + ",".join(items) + "}"
+    raise TypeError(f"Object of type {type(payload).__name__} is not JSON serializable")
+
+
+# json.dumps's escapes for the ASCII characters a string may not hold as is.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _escape(char: str) -> str:
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    code = ord(char)
+    if 0x20 <= code < 0x7F:
+        return char
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000  # a UTF-16 surrogate pair
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return f'"{"".join(map(_escape, text))}"'
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _json_string(key)
 
 
 def _phase_strings(gamma: GroupElement) -> list[str]:
@@ -324,6 +507,17 @@ def cmd_oracle(args, out) -> int:
     return 0 if not mismatches else 2
 
 
+# Each subcommand's function, summary and option rows.
+_COMMANDS = {
+    "group": (cmd_group, "print the symmetry group data", (_EXPONENTS, _STABILIZE, _FORMAT)),
+    "milnor": (cmd_milnor, "print the Milnor number", (_EXPONENTS, _STABILIZE, _FORMAT)),
+    "hh": (cmd_hh, "print the dimension table",
+           (_EXPONENTS, _STABILIZE, _HH_FORMAT, _PARALLEL, _K_MIN, _K_MAX, _WITNESSES)),
+    "verify": (cmd_verify, "check the closed-form predictions", (_EXPONENTS, _STABILIZE, _FORMAT)),
+    "oracle": (cmd_oracle, "compare the bounded rescan with the engine",
+               (_EXPONENTS, _STABILIZE, _FORMAT, _K_MIN, _K_MAX, _A0_BOUND, _U_BOUND)),
+}
+
 # Errors that abort a computation with exit 4, and the name printed for each.
 _ABORTS = {AmbiguousGradingError: "AmbiguousGrading", BudgetExceededError: "Budget"}
 
@@ -331,15 +525,14 @@ _ABORTS = {AmbiguousGradingError: "AmbiguousGrading", BudgetExceededError: "Budg
 def run(argv, out=None) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
+        if args is None:  # help was printed
+            return 0
         _check_args(args)
     except _UsageError as exc:
         print(f"mfhh: error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
     try:
         return args.command(args, out)
     except tuple(_ABORTS) as exc:
@@ -348,17 +541,18 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
+    import os
     import signal  # here, not in run(), which tests and the benchmark call in-process
     if hasattr(signal, "SIGPIPE"):  # a reader that closes the pipe (| head) ends us quietly
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = run(sys.argv[1:])
     # The answer is printed, and the process ends next.  Interpreter
-    # shutdown would run the cycle collector over every object still alive,
-    # for nothing; freezing moves them out of its reach.  Reference counting,
-    # stdout flushing and atexit handlers still run (os._exit would skip them).
-    import gc
-    gc.freeze()
-    sys.exit(code)
+    # shutdown would only free every object still alive, so the script
+    # flushes what its streams hold and leaves by os._exit, which runs no
+    # atexit handlers (mfhh registers none).
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

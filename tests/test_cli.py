@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mfhh
 import mfhh.cli as cli
@@ -50,6 +51,32 @@ def test_json_round_trip_is_byte_identical():
         code, out = invoke(*argv)
         assert code == 0
         assert canonical_json(json.loads(out)) + "\n" == out
+
+
+# Any code point, lone surrogates included, and the ones json.dumps treats
+# specially drawn often.
+json_chars = st.characters(exclude_categories=()) | st.sampled_from(
+    '"\\\b\f\n\r\t\x00\x1f\x7f\x80\u2028\uffff\U0001f600')
+json_values = st.recursive(
+    st.booleans() | st.integers(min_value=-2**80, max_value=2**80) | st.text(json_chars),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(json_chars, max_size=4), children, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_canonical_json_matches_json_dumps(value):
+    """Every control character, quote, backslash, non-ASCII and astral
+    character is escaped as json.dumps escapes it, and integers past 2^64
+    are written whole."""
+    assert canonical_json(value) == json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("value", [1.5, [0, 0.0], {"k": None}, {1: 2}])
+def test_canonical_json_refuses_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 def test_hh_witness_payload():
@@ -293,6 +320,75 @@ def test_oracle_json_uses_fixed_schema():
     assert {row["k"]: row["dim"] for row in payload["hh"]} == {0: 2, 1: 2, 2: 2}
 
 
+# (argv, exit code, report, the "mfhh: error:" line on stderr or None).
+# Each expectation is what the argparse grammar answered: values spaced or
+# after "=", unique prefixes, negative values, the last of a repeated option,
+# -h anywhere, and the texts of its usage errors.
+GRAMMAR = [
+    (("hh", "--exponents=2,2,3", "--stabilize", "--k-min=0", "--k-max=2", "--format=csv"),
+     0, "k,dim\n0,2\n1,2\n2,2\n", None),
+    (("hh", "--exp", "2,2,3", "--stab", "--k-mi", "0", "--k-ma", "2", "--form", "csv"),
+     0, "k,dim\n0,2\n1,2\n2,2\n", None),
+    (("hh", "--exponents", "2,2,3", "--k-m", "0"),
+     1, "", "mfhh: error: ambiguous option: --k-m could match --k-min, --k-max"),
+    (("hh", "--exponents", "2,2,3", "--k-m=0"),
+     1, "", "mfhh: error: ambiguous option: --k-m=0 could match --k-min, --k-max"),
+    (("hh", "--exponents", "2,2,3,5", "--stabilize", "--k-min", "-2", "--k-max", "-1",
+      "--format", "csv"), 0, "k,dim\n-2,1\n-1,1\n", None),
+    (("hh", "--exponents", "2,2,3", "--k-min", "-1.5"),
+     1, "", "mfhh: error: argument --k-min: invalid int value: '-1.5'"),
+    (("milnor", "--exponents", "-2,3"),
+     1, "", "mfhh: error: argument --exponents: expected one argument"),
+    (("milnor", "--exponents=-2,3"),
+     1, "", "mfhh: error: argument --exponents: every exponent must be >= 2"),
+    (("milnor", "--exponents", "2,5", "--format", "json", "--format", "table",
+      "--exponents", "2,3"), 0, "2\n", None),
+    (("--help",), 0, "", None),
+    (("-h",), 0, "", None),
+    (("hh", "--help"), 0, "", None),
+    (("oracle", "--exponents", "2,2,3", "-h"), 0, "", None),
+    (("hh", "--help", "--exponents", "x"), 0, "", None),
+    (("hh", "--exponents", "x", "--help"),
+     1, "", "mfhh: error: argument --exponents: not a comma-separated integer list: 'x'"),
+    ((), 1, "", "mfhh: error: the following arguments are required: subcommand"),
+    (("nonsense", "--exponents", "2,2"), 1, "",
+     "mfhh: error: argument subcommand: invalid choice: 'nonsense'"
+     " (choose from 'group', 'milnor', 'hh', 'verify', 'oracle')"),
+    (("hh", "--stabilize"),
+     1, "", "mfhh: error: the following arguments are required: --exponents"),
+    (("group", "--exponents", "2,3", "--format", "csv"), 1, "",
+     "mfhh: error: argument --format: invalid choice: 'csv' (choose from 'table', 'json')"),
+    (("oracle", "--exponents", "2,2,3", "--stabilize", "--parallel", "2"),
+     1, "", "mfhh: error: unrecognized arguments: --parallel 2"),
+    (("hh", "--exponents", "2,2,3", "--k-min"),
+     1, "", "mfhh: error: argument --k-min: expected one argument"),
+    (("hh", "--exponents", "2,2,3", "--k-min", "--k-max", "3"),
+     1, "", "mfhh: error: argument --k-min: expected one argument"),
+    (("hh", "--exponents", "2,2,3", "--stabilize=1"),
+     1, "", "mfhh: error: argument --stabilize: ignored explicit argument '1'"),
+    (("hh", "--exponents", "2,2,3", "--parallel", "x"),
+     1, "", "mfhh: error: argument --parallel: invalid int value: 'x'"),
+    (("hh", "--exponents", "2,2,3", "foo"), 1, "", "mfhh: error: unrecognized arguments: foo"),
+    (("hh", "--exponents", "2,2,3", "-x", "--bogus", "1", "--parallel=2", "y"),
+     1, "", "mfhh: error: unrecognized arguments: -x --bogus 1 y"),
+    (("--stab", "hh", "--exponents", "2,3"), 1, "", "mfhh: error: unrecognized arguments: --stab"),
+    (("hh", "--exponents", "2,2,3", "--", "--stabilize"),
+     1, "", "mfhh: error: unrecognized arguments: -- --stabilize"),
+]
+
+
+@pytest.mark.parametrize("argv, code, report, error", GRAMMAR,
+                         ids=[" ".join(case[0]) or "(no arguments)" for case in GRAMMAR])
+def test_command_line_grammar(argv, code, report, error, capsys):
+    assert invoke(*argv) == (code, report)
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if line.startswith("mfhh: error:")] == (
+        [error] if error else [])
+    assert captured.out.startswith("usage: mfhh") == (code == 0 and not report)  # help
+    if code == 1:
+        assert captured.err.startswith("usage: mfhh")
+
+
 def test_usage_errors_exit_one(capsys):
     assert invoke("hh", "--exponents", "2,x")[0] == 1
     assert invoke("hh", "--exponents", "2,2,3", "--k-min", "4", "--k-max", "1")[0] == 1
@@ -304,6 +400,19 @@ def test_usage_errors_exit_one(capsys):
 
 def test_exponents_below_two_rejected():
     assert invoke("milnor", "--exponents", "2,1")[0] == 1
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integer strings of any length")
+def test_over_long_exponent_names_the_digit_limit(capsys):
+    """An exponent past Python's int-string limit is a usage error that says
+    so, and the message echoes only the start of the argument."""
+    limit = sys.get_int_max_str_digits()
+    assert invoke("milnor", "--exponents", "1" + "0" * (limit + 100) + ",3") == (1, "")
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("mfhh: error: argument --exponents: an exponent is longer than"
+                          f" {limit} digits")
+    assert len(err) < 200
 
 
 def test_milnor_past_64_bits_exits_zero():
@@ -455,11 +564,12 @@ def test_kernel_is_enumerated_once(argv, monkeypatch):
 
 def test_import_loads_no_heavy_standard_modules():
     """A fresh ``import mfhh, mfhh.cli`` loads nothing the hh path does not
-    run: records are named tuples, and fractions loads where phases are
-    made."""
+    run: records are named tuples, fractions loads where phases are made,
+    and the console script reads its options and writes JSON itself."""
     src = Path(mfhh.__file__).resolve().parent.parent
     probe = ("import sys, mfhh, mfhh.cli; print(*sorted({'dataclasses', 'inspect',"
-             " 'fractions', 'decimal', 'typing'} & set(sys.modules)))")
+             " 'fractions', 'decimal', 'typing', 'argparse', 'gettext', 'json'}"
+             " & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
@@ -492,15 +602,19 @@ def test_closed_pipe_ends_quietly():
     (("verify", "--exponents", "2,3,5", "--stabilize"), 3),  # hypotheses not met
     (("hh", "--exponents", "2,2,101,103,107,109", "--stabilize"), 4),  # Budget
     (("hh", "--exponents", "2,3,6", "--stabilize"), 4),  # AmbiguousGrading
+    (("hh", "--help"), 0),
+    # about 200 KB on one line: nothing is lost between the flush and os._exit
+    (("group", "--exponents", "2,2,3,5,7,11", "--stabilize", "--format", "json"), 0),
 ])
 def test_console_entry_matches_run(argv, expected, capsys):
-    """The console script freezes the collector's heap after answering; what
+    """The console script flushes its streams and ends by ``os._exit``; what
     it prints and returns is what ``run()`` does in-process, and ``run()``
-    itself freezes nothing."""
+    itself neither exits nor freezes the collector's heap."""
     frozen = gc.get_freeze_count()
     code, out = invoke(*argv)
     assert gc.get_freeze_count() == frozen
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    out, err = out + captured.out, captured.err  # help goes to sys.stdout
     assert code == expected
     src = Path(mfhh.__file__).resolve().parent.parent
     result = subprocess.run([sys.executable, "-c", "from mfhh.cli import main; main()", *argv],
