@@ -19,13 +19,17 @@ Options take their value spaced (``--k-min -4``) or after ``=``
 (``--stab``; ``--k-m`` is ambiguous); the last of a repeated option wins;
 ``-h``/``--help`` prints help wherever it is reached, before or after the
 subcommand.  Usage errors print the usage line and ``mfhh: error: ...`` to
-stderr.
+stderr.  An integer argument past Python's int-string limit (4300 digits by
+default) is one, and its message names the limit and echoes only the
+argument's first 40 characters and its length.
 
 Reports contain only exact integers and reduced fraction strings; JSON
-output is canonical (fixed key order, no whitespace, strings escaped as
-``json.dumps`` escapes them) so re-serializing a parsed report reproduces
-it byte for byte.  The console script flushes its output and ends by
-``os._exit``, skipping interpreter shutdown; ``run()`` never exits.
+output is canonical (fixed key order, no whitespace) so re-serializing a
+parsed report reproduces it byte for byte.  Its strings are written as
+they are; a string that needs escapes, which no report holds, is escaped
+by ``json.dumps``, and only then is ``json`` loaded.  The console script
+flushes its output and ends by ``os._exit``, skipping interpreter
+shutdown; ``run()`` never exits.
 
 Exit codes: 1 for usage errors, 4 when a computation aborts on
 AmbiguousGrading or Budget (the error name goes to stderr).  Budget is checked before anything is enumerated: every
@@ -43,6 +47,7 @@ default).  These bound the size of every enumeration and scan, not its time.
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 from mfhh.charlat import AmbiguousGradingError, GroupElement
 from mfhh.diagpoly import DiagonalPolynomial, milnor_number
@@ -64,27 +69,28 @@ def _echo(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
-def _parse_exponents(text: str) -> tuple[int, ...]:
+def _ints(text: str, parts, noun: str, invalid: str) -> tuple[int, ...]:
+    """``int`` of each of ``parts`` of ``text``.  ValueError names Python's
+    digit limit if a part exceeds it, else says ``invalid``; both _echo ``text``."""
     try:
-        exps = tuple(int(part) for part in text.split(","))
+        return tuple(map(int, parts))
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and any(len(part) > limit for part in text.split(",")):
-            raise ValueError(f"an exponent is longer than {limit} digits, the most Python"
+        if limit and any(len(part) > limit for part in parts):
+            raise ValueError(f"{noun} is longer than {limit} digits, the most Python"
                              f" converts: {_echo(text)}") from None
-        raise ValueError(f"not a comma-separated integer list: {_echo(text)}") from None
-    if not exps:
-        raise ValueError("exponent list is empty")
+        raise ValueError(f"{invalid}: {_echo(text)}") from None
+
+
+def _parse_exponents(text: str) -> tuple[int, ...]:
+    exps = _ints(text, text.split(","), "an exponent", "not a comma-separated integer list")
     if any(k < 2 for k in exps):
         raise ValueError("every exponent must be >= 2")
     return exps
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {text!r}") from None
+    return _ints(text, (text,), "the value", "invalid int value")[0]
 
 
 def _choice(*names):
@@ -128,14 +134,6 @@ _DEFAULTS = {"exponents": None, "stabilize": False, "fmt": "table", "parallel": 
 
 def _options(*rows) -> dict:
     return {"-h": _HELP, "--help": _HELP, **{row[0]: row for row in rows}}
-
-
-class _Args:
-    """The options of one command line, as attributes named by the rows."""
-
-    def __init__(self, command, values):
-        self.command = command
-        self.__dict__.update(values)
 
 
 def _is_negative_number(token: str) -> bool:
@@ -225,7 +223,7 @@ def _parse(argv):
     except _UsageError:
         print(_usage(command), file=sys.stderr)
         raise
-    return _Args(_COMMANDS[command][0], values)
+    return SimpleNamespace(command=_COMMANDS[command][0], **values)
 
 
 def _spelled(row) -> str:
@@ -283,38 +281,18 @@ def canonical_json(payload) -> str:
     if isinstance(payload, (list, tuple)):
         return "[" + ",".join(map(canonical_json, payload)) + "]"
     if isinstance(payload, dict):
-        items = (f"{_json_key(k)}:{canonical_json(v)}" for k, v in payload.items())
+        items = (f"{_json_string(k)}:{canonical_json(v)}" for k, v in payload.items())
         return "{" + ",".join(items) + "}"
     raise TypeError(f"Object of type {type(payload).__name__} is not JSON serializable")
 
 
-# json.dumps's escapes for the ASCII characters a string may not hold as is.
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
-            "\t": "\\t"}
-
-
-def _escape(char: str) -> str:
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    code = ord(char)
-    if 0x20 <= code < 0x7F:
-        return char
-    if code < 0x10000:
-        return f"\\u{code:04x}"
-    code -= 0x10000  # a UTF-16 surrogate pair
-    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-
-
-def _json_string(text: str) -> str:
+def _json_string(text) -> str:
+    if not isinstance(text, str):  # a dict key
+        raise TypeError(f"keys must be str, not {type(text).__name__}")
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    return f'"{"".join(map(_escape, text))}"'
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _json_string(key)
+    import json  # here, for a string no report holds: every report string is plain
+    return json.dumps(text)
 
 
 def _phase_strings(gamma: GroupElement) -> list[str]:

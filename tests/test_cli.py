@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -404,13 +405,21 @@ def test_exponents_below_two_rejected():
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this Python converts integer strings of any length")
-def test_over_long_exponent_names_the_digit_limit(capsys):
-    """An exponent past Python's int-string limit is a usage error that says
-    so, and the message echoes only the start of the argument."""
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=option) for command, option in (
+        ("milnor", "--exponents"), ("hh", "--k-min"), ("hh", "--k-max"), ("hh", "--parallel"),
+        ("oracle", "--a0-bound"), ("oracle", "--u-bound"))])
+def test_over_long_exponent_names_the_digit_limit(command, option, capsys):
+    """An integer argument past Python's int-string limit is a usage error
+    that says so, and the message echoes only the start of the argument."""
     limit = sys.get_int_max_str_digits()
-    assert invoke("milnor", "--exponents", "1" + "0" * (limit + 100) + ",3") == (1, "")
+    value = "1" + "0" * (limit + 100)
+    argv = ((command, option, value + ",3") if option == "--exponents"
+            else (command, "--exponents", "2,3", option, value))
+    assert invoke(*argv) == (1, "")
     err = capsys.readouterr().err.splitlines()[-1]
-    assert err.startswith("mfhh: error: argument --exponents: an exponent is longer than"
+    noun = "an exponent" if option == "--exponents" else "the value"
+    assert err.startswith(f"mfhh: error: argument {option}: {noun} is longer than"
                           f" {limit} digits")
     assert len(err) < 200
 
@@ -565,15 +574,29 @@ def test_kernel_is_enumerated_once(argv, monkeypatch):
 def test_import_loads_no_heavy_standard_modules():
     """A fresh ``import mfhh, mfhh.cli`` loads nothing the hh path does not
     run: records are named tuples, fractions loads where phases are made,
-    and the console script reads its options and writes JSON itself."""
+    and the console script reads its options itself.  No JSON report of any
+    subcommand loads json: every string a report holds is written without
+    escapes."""
     src = Path(mfhh.__file__).resolve().parent.parent
-    probe = ("import sys, mfhh, mfhh.cli; print(*sorted({'dataclasses', 'inspect',"
-             " 'fractions', 'decimal', 'typing', 'argparse', 'gettext', 'json'}"
-             " & set(sys.modules)))")
+    probe = textwrap.dedent("""\
+        import io, sys, mfhh, mfhh.cli
+        print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'typing',
+                       'argparse', 'gettext', 'json'} & set(sys.modules)))
+        for argv in (("hh", "--exponents", "2,2,3,5", "--stabilize", "--witnesses"),
+                     ("group", "--exponents", "2,3,5", "--stabilize"),
+                     ("milnor", "--exponents", "2,2,3,5"),
+                     ("verify", "--exponents", "2,2,3,5", "--stabilize"),
+                     ("verify", "--exponents", "2,3,5", "--stabilize"),
+                     ("oracle", "--exponents", "2,2,3", "--stabilize")):
+            print(mfhh.cli.run([*argv, "--format", "json"], out=io.StringIO()), end=" ")
+        print('json' in sys.modules)
+    """)
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    loaded, codes = result.stdout.splitlines()
+    assert loaded == ""
+    assert codes == "0 0 0 0 3 0 False"
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
