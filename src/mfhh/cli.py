@@ -1,47 +1,18 @@
-"""Command-line front end.
+"""Command-line front end: ``mfhh <subcommand> --exponents k1,k2,... [options]``.
 
-Subcommands:
+``_parse`` is the one function that reads and checks a command line.  It
+reads it by the option tables (``_COMMANDS``) with the grammar argparse
+gave, down to the texts of its usage errors, and prints nothing: it
+returns the options or the help text asked for, or raises ``_UsageError``.
+``run`` is the one place that prints: help and reports to ``out``, a usage
+error as the usage line and ``mfhh: error: ...`` on stderr.  Help is built
+from the tables and the budget constants, never from this docstring; the
+README documents the grammar, exit codes and budgets for users.
 
-* ``group``  -- character-lattice structure, kernel order, element list
-* ``milnor`` -- Milnor number of the polynomial
-* ``hh``     -- cohomology dimension table over a degree range; the only
-  subcommand that offers ``--format csv`` and accepts ``--parallel N`` (validated
-  for compatibility, without effect: the engine starts no worker processes);
-  ``--witnesses`` names each contribution's group element by index and phases
-* ``verify`` -- closed-form degree-0 / degree-n predictions for the
-  stabilized {2,2} + p family (exit 0 on pass, 2 on mismatch, 3 on any other
-  input)
-* ``oracle`` -- bounded rescan compared against the closed-form engine
-  (exit 0 iff they agree on every degree)
-
-Options take their value spaced (``--k-min -4``) or after ``=``
-(``--format=csv``); a long option may be cut to any unique prefix
-(``--stab``; ``--k-m`` is ambiguous); the last of a repeated option wins;
-``-h``/``--help`` prints help wherever it is reached, before or after the
-subcommand.  Usage errors print the usage line and ``mfhh: error: ...`` to
-stderr.  An integer argument past Python's int-string limit (4300 digits by
-default) is one, and its message names the limit and echoes only the
-argument's first 40 characters and its length.
-
-Reports contain only exact integers and reduced fraction strings; JSON
-output is canonical (fixed key order, no whitespace) so re-serializing a
-parsed report reproduces it byte for byte.  Its strings are written as
-they are; a string that needs escapes, which no report holds, is escaped
-by ``json.dumps``, and only then is ``json`` loaded.  The console script
-flushes its output and ends by ``os._exit``, skipping interpreter
-shutdown; ``run()`` never exits.
-
-Exit codes: 1 for usage errors, 4 when a computation aborts on
-AmbiguousGrading or Budget (the error name goes to stderr).  Budget is checked before anything is enumerated: every
-subcommand that builds the engine (all but ``milnor``) refuses instances
-with prod(k_i) = |ker chi| above 10^5; ``hh`` and ``oracle`` refuse degree
-windows of more than 10^4 degrees, and windows whose degrees times
-moving-set strata exceed 2*10^6 (checked before any stratum is built);
-``hh --witnesses`` refuses windows with more than 10^5 witnesses (checked
-after counting, before the group is enumerated); ``oracle`` refuses scan
-windows (given or derived) that need more than 10^7 degree-equation tests;
-``milnor`` refuses a Milnor number longer than Python prints (4300 digits by
-default).  These bound the size of every enumeration and scan, not its time.
+JSON reports are canonical (``canonical_json``): a string that needs
+escapes, which no report holds, is handed to ``json.dumps``, and only then
+is ``json`` loaded.  The console script (``main``) flushes its streams and
+ends by ``os._exit``, skipping interpreter shutdown; ``run`` never exits.
 """
 
 from __future__ import annotations
@@ -52,6 +23,11 @@ from types import SimpleNamespace
 from mfhh.charlat import AmbiguousGradingError, GroupElement
 from mfhh.diagpoly import DiagonalPolynomial, milnor_number
 from mfhh.hhengine import (
+    DEGREE_BUDGET,
+    ELEMENT_BUDGET,
+    SCAN_BUDGET,
+    STRATUM_DEGREE_BUDGET,
+    WITNESS_BUDGET,
     BudgetExceededError,
     HHReport,
     HochschildEngine,
@@ -61,7 +37,9 @@ from mfhh.hhengine import (
 
 
 class _UsageError(Exception):
-    pass
+    """A command line the grammar refuses; ``command`` is the subcommand
+    read before the error, or None."""
+    command = None
 
 
 def _echo(text: str) -> str:
@@ -69,14 +47,22 @@ def _echo(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
+def _is_number(part: str) -> bool:
+    """Whether ``part`` is all decimal digits once surrounding whitespace,
+    one leading sign and underscores are dropped."""
+    body = part.strip()
+    return (body[1:] if body[:1] in ("+", "-") else body).replace("_", "").isdecimal()
+
+
 def _ints(text: str, parts, noun: str, invalid: str) -> tuple[int, ...]:
     """``int`` of each of ``parts`` of ``text``.  ValueError names Python's
-    digit limit if a part exceeds it, else says ``invalid``; both _echo ``text``."""
+    digit limit if a numeric part exceeds it, else says ``invalid``; both
+    _echo ``text``."""
     try:
         return tuple(map(int, parts))
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and any(len(part) > limit for part in parts):
+        if limit and any(len(part) > limit and _is_number(part) for part in parts):
             raise ValueError(f"{noun} is longer than {limit} digits, the most Python"
                              f" converts: {_echo(text)}") from None
         raise ValueError(f"{invalid}: {_echo(text)}") from None
@@ -108,8 +94,8 @@ def _choice(*names):
 # converter (None for a flag, which sets True; a converter raises ValueError
 # with the message), the placeholder usage shows for its value, and its help
 # line.  _COMMANDS lists each subcommand's rows, and _parse reads a command
-# line by them with the grammar argparse gave (see the module docstring),
-# down to the texts of its usage errors.
+# line by them with the grammar argparse gave, down to the texts of its
+# usage errors.
 
 _HELP = ("-h/--help", None, None, None, "show this help message and exit")
 _EXPONENTS = ("--exponents", "exponents", _parse_exponents, "k1,k2,...",
@@ -179,8 +165,9 @@ def _convert(name: str, convert, text: str):
 
 
 def _parse(argv):
-    """The parsed options of ``argv``, or None once help is printed.
-    Raises _UsageError after printing the usage line to stderr."""
+    """The checked options of ``argv``, with the default degree window
+    [-2n, 2n] filled in, or the help text when it asks for help.  Raises
+    _UsageError, which carries the subcommand read so far."""
     command, tokens = None, list(argv)
     values, leftovers = dict(_DEFAULTS), []
     try:
@@ -204,8 +191,7 @@ def _parse(argv):
                 if value is not None:
                     raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
                 if attr is None:
-                    print(_help(command))
-                    return None
+                    return _help(command)
                 values[attr] = True
                 continue
             if value is None:
@@ -220,10 +206,24 @@ def _parse(argv):
             raise _UsageError("the following arguments are required: --exponents")
         if leftovers:
             raise _UsageError(f"unrecognized arguments: {' '.join(leftovers)}")
-    except _UsageError:
-        print(_usage(command), file=sys.stderr)
+        args = SimpleNamespace(command=_COMMANDS[command][0], **values)
+        n = len(args.exponents) - 1
+        if args.k_min is None:
+            args.k_min = -2 * n
+        if args.k_max is None:
+            args.k_max = 2 * n
+        if args.k_min > args.k_max:
+            raise _UsageError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
+        if args.parallel < 1:
+            raise _UsageError("--parallel must be >= 1")
+        if args.a0_bound is not None and args.a0_bound < 0:
+            raise _UsageError("--a0-bound must be >= 0")
+        if args.u_bound is not None and args.u_bound < 0:
+            raise _UsageError("--u-bound must be >= 0")
+    except _UsageError as exc:
+        exc.command = command
         raise
-    return SimpleNamespace(command=_COMMANDS[command][0], **values)
+    return args
 
 
 def _spelled(row) -> str:
@@ -240,31 +240,17 @@ def _usage(command) -> str:
 
 def _help(command) -> str:
     if command is None:
-        lines = [__doc__, "subcommands (mfhh SUBCOMMAND -h lists its options):",
-                 *(f"  {name:<8}{summary}" for name, (_, summary, _) in _COMMANDS.items())]
+        lines = ["subcommands (mfhh SUBCOMMAND -h lists its options):",
+                 *(f"  {name:<8}{summary}" for name, (_, summary, _) in _COMMANDS.items()),
+                 "", "exit codes:", *(f"  {code}  {text}" for code, text in enumerate(_EXITS)),
+                 "", f"budgets: |ker chi| = prod(k_i) <= {ELEMENT_BUDGET}, window degrees <= "
+                 f"{DEGREE_BUDGET}, strata x degrees <= {STRATUM_DEGREE_BUDGET}, witnesses <= "
+                 f"{WITNESS_BUDGET}, oracle scan tests <= {SCAN_BUDGET}"]
     else:
         _, summary, rows = _COMMANDS[command]
         lines = [summary, "", "options:",
                  *(f"  {_spelled(row):<26}{row[4]}" for row in (_HELP, *rows))]
     return "\n".join([_usage(command), "", *lines])
-
-
-def _check_args(args) -> None:
-    """Reject option values the option tables cannot, and fill in the
-    default degree window [-2n, 2n]."""
-    n = len(args.exponents) - 1
-    if args.k_min is None:
-        args.k_min = -2 * n
-    if args.k_max is None:
-        args.k_max = 2 * n
-    if args.k_min > args.k_max:
-        raise _UsageError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
-    if args.parallel < 1:
-        raise _UsageError("--parallel must be >= 1")
-    if args.a0_bound is not None and args.a0_bound < 0:
-        raise _UsageError("--a0-bound must be >= 0")
-    if args.u_bound is not None and args.u_bound < 0:
-        raise _UsageError("--u-bound must be >= 0")
 
 
 def canonical_json(payload) -> str:
@@ -499,18 +485,24 @@ _COMMANDS = {
 # Errors that abort a computation with exit 4, and the name printed for each.
 _ABORTS = {AmbiguousGradingError: "AmbiguousGrading", BudgetExceededError: "Budget"}
 
+# What each exit code means, for top-level help.
+_EXITS = ("success, or the oracle agrees", "usage error",
+          "verify mismatch, or the oracle disagrees", "verify hypotheses not met",
+          "AmbiguousGrading or Budget, named on stderr")
+
 
 def run(argv, out=None) -> int:
-    """Parse argv, dispatch, and return the process exit code."""
+    """Parse argv, print the help or usage error it gives or dispatch it,
+    and return the process exit code."""
     out = out if out is not None else sys.stdout
     try:
         args = _parse(argv)
-        if args is None:  # help was printed
-            return 0
-        _check_args(args)
     except _UsageError as exc:
-        print(f"mfhh: error: {exc}", file=sys.stderr)
+        print(_usage(exc.command), f"mfhh: error: {exc}", sep="\n", file=sys.stderr)
         return 1
+    if isinstance(args, str):  # the help asked for
+        print(args, file=out)
+        return 0
     try:
         return args.command(args, out)
     except tuple(_ABORTS) as exc:

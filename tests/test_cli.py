@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,7 +17,16 @@ import mfhh
 import mfhh.cli as cli
 from mfhh.cli import canonical_json, run
 from mfhh.charlat import CharacterLattice, Weight
-from mfhh.hhengine import PropositionCheck, PropositionReport, oracle_bounds
+from mfhh.hhengine import (
+    DEGREE_BUDGET,
+    ELEMENT_BUDGET,
+    SCAN_BUDGET,
+    STRATUM_DEGREE_BUDGET,
+    WITNESS_BUDGET,
+    PropositionCheck,
+    PropositionReport,
+    oracle_bounds,
+)
 
 
 def invoke(*argv):
@@ -344,11 +354,11 @@ GRAMMAR = [
      1, "", "mfhh: error: argument --exponents: every exponent must be >= 2"),
     (("milnor", "--exponents", "2,5", "--format", "json", "--format", "table",
       "--exponents", "2,3"), 0, "2\n", None),
-    (("--help",), 0, "", None),
-    (("-h",), 0, "", None),
-    (("hh", "--help"), 0, "", None),
-    (("oracle", "--exponents", "2,2,3", "-h"), 0, "", None),
-    (("hh", "--help", "--exponents", "x"), 0, "", None),
+    (("--help",), 0, cli._help(None) + "\n", None),
+    (("-h",), 0, cli._help(None) + "\n", None),
+    (("hh", "--help"), 0, cli._help("hh") + "\n", None),
+    (("oracle", "--exponents", "2,2,3", "-h"), 0, cli._help("oracle") + "\n", None),
+    (("hh", "--help", "--exponents", "x"), 0, cli._help("hh") + "\n", None),
     (("hh", "--exponents", "x", "--help"),
      1, "", "mfhh: error: argument --exponents: not a comma-separated integer list: 'x'"),
     ((), 1, "", "mfhh: error: the following arguments are required: subcommand"),
@@ -375,19 +385,29 @@ GRAMMAR = [
     (("--stab", "hh", "--exponents", "2,3"), 1, "", "mfhh: error: unrecognized arguments: --stab"),
     (("hh", "--exponents", "2,2,3", "--", "--stabilize"),
      1, "", "mfhh: error: unrecognized arguments: -- --stabilize"),
+    # Value checks past the grammar: usage errors too, with the usage line.
+    (("hh", "--exponents", "2,2,3", "--k-min", "4", "--k-max", "1"),
+     1, "", "mfhh: error: --k-min 4 exceeds --k-max 1"),
+    (("hh", "--exponents", "2,2,3", "--parallel", "0"),
+     1, "", "mfhh: error: --parallel must be >= 1"),
+    (("oracle", "--exponents", "2,2,3", "--a0-bound", "-1"),
+     1, "", "mfhh: error: --a0-bound must be >= 0"),
+    (("oracle", "--exponents", "2,2,3", "--u-bound", "-1"),
+     1, "", "mfhh: error: --u-bound must be >= 0"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, report, error", GRAMMAR,
                          ids=[" ".join(case[0]) or "(no arguments)" for case in GRAMMAR])
 def test_command_line_grammar(argv, code, report, error, capsys):
-    assert invoke(*argv) == (code, report)
+    assert invoke(*argv) == (code, report)  # help, too, goes to out
     captured = capsys.readouterr()
     assert [line for line in captured.err.splitlines() if line.startswith("mfhh: error:")] == (
         [error] if error else [])
-    assert captured.out.startswith("usage: mfhh") == (code == 0 and not report)  # help
-    if code == 1:
-        assert captured.err.startswith("usage: mfhh")
+    assert captured.out == ""
+    if code == 1:  # the usage line of the subcommand read, if any
+        command = next((word for word in argv if word in cli._COMMANDS), None)
+        assert captured.err.startswith(f"usage: mfhh {command}" if command else "usage: mfhh [-h]")
 
 
 def test_usage_errors_exit_one(capsys):
@@ -422,6 +442,23 @@ def test_over_long_exponent_names_the_digit_limit(command, option, capsys):
     assert err.startswith(f"mfhh: error: argument {option}: {noun} is longer than"
                           f" {limit} digits")
     assert len(err) < 200
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integer strings of any length")
+@pytest.mark.parametrize("argv, error", [
+    (("hh", "--exponents", "2,3", "--k-min", "x" * 5000),
+     "argument --k-min: invalid int value: " + repr("x" * 40) + "... (5000 characters)"),
+    (("milnor", "--exponents", "x" * 5000 + ",3"),
+     "argument --exponents: not a comma-separated integer list: " + repr("x" * 40)
+     + "... (5002 characters)"),
+], ids=["--k-min", "--exponents"])
+def test_over_long_non_number_is_not_called_too_long(argv, error, capsys):
+    """Only an over-long part made of digits (after whitespace, one sign and
+    underscores) is reported against the digit limit; any other keeps its
+    converter's message, echoed cut."""
+    assert invoke(*argv) == (1, "")
+    assert capsys.readouterr().err.splitlines()[-1] == f"mfhh: error: {error}"
 
 
 def test_milnor_past_64_bits_exits_zero():
@@ -637,7 +674,8 @@ def test_console_entry_matches_run(argv, expected, capsys):
     code, out = invoke(*argv)
     assert gc.get_freeze_count() == frozen
     captured = capsys.readouterr()
-    out, err = out + captured.out, captured.err  # help goes to sys.stdout
+    assert captured.out == ""  # run() prints help, too, to out
+    err = captured.err
     assert code == expected
     src = Path(mfhh.__file__).resolve().parent.parent
     result = subprocess.run([sys.executable, "-c", "from mfhh.cli import main; main()", *argv],
@@ -664,3 +702,29 @@ def test_plain_hh_never_enumerates_the_kernel(monkeypatch):
 def test_help_exits_zero(capsys):
     assert invoke("--help")[0] == 0
     capsys.readouterr()
+
+
+def test_help_goes_to_out(capsys):
+    """Top-level help lands in ``out``, not on sys.stdout, and is built from
+    the tables: the subcommands, exit codes 0-4 and the five budgets."""
+    buf = io.StringIO()
+    assert run(["--help"], out=buf) == 0
+    assert capsys.readouterr() == ("", "")
+    text = buf.getvalue()
+    assert text.startswith("usage: mfhh [-h] {group,milnor,hh,verify,oracle} ...\n")
+    assert len(text.encode()) <= 1024
+    lines = text.splitlines()
+    for name in cli._COMMANDS:
+        assert any(line.startswith(f"  {name} ") for line in lines), name
+    assert [line[:5] for line in lines if line[2:3].isdigit()] == [
+        f"  {code}  " for code in range(5)]
+    budgets = [line for line in lines if line.startswith("budgets: ")]
+    assert len(budgets) == 1
+    assert re.findall(r"<= (\d+)", budgets[0]) == [str(value) for value in (
+        ELEMENT_BUDGET, DEGREE_BUDGET, STRATUM_DEGREE_BUDGET, WITNESS_BUDGET, SCAN_BUDGET)]
+
+
+def test_help_does_not_read_the_module_docstring(monkeypatch):
+    expected = invoke("--help")
+    monkeypatch.setattr(cli, "__doc__", "replaced")
+    assert invoke("--help") == expected
