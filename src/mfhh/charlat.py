@@ -23,11 +23,13 @@ k_i*chi_i - chi) only names the group: its Smith invariant factors are the
 torsion of the lattice, whose order is prod(k_i) / L.
 
 The lattice stores chi = (L, 0) and the free coordinate f_0 = L - sum(L/k_i)
-of chi_0, which keys its cosets.  The generators chi_i = (L/k_i, e_i) and
-chi_0 = (f_0, (k_i - 1)_i) are closed forms that a caller writes out from the
-exponents, as the engine does for its stratum offsets.
+of chi_0, which keys its cosets; ``chi0_free`` reads it for ``coset_key``
+and the engine, raising AmbiguousGradingError when it is 0.  The generators
+chi_i = (L/k_i, e_i) and chi_0 = (f_0, (k_i - 1)_i) are closed forms that a
+caller writes out from the exponents, as the engine does for its stratum
+offsets.
 
-Variables are indexed 1..N, with index 0 reserved for the stabilizer z_0.
+Exponents and variable indices (1..N, 0 for z_0) come from DiagonalPolynomial.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable
 
+from mfhh.diagpoly import DiagonalPolynomial
 from mfhh.intlat import cokernel, smith_normal_form
 
 
@@ -89,7 +92,7 @@ class GroupElement(namedtuple("GroupElement", "phases fixed moving")):
 
 
 class CharacterLattice:
-    """The character lattice of one diagonal polynomial: chi, the
+    """The character lattice of one diagonal polynomial: chi, f_0, the
     chi_0-coset key, the torsion and ker(chi).
 
     Immutable after construction; all methods are pure.  Use
@@ -97,24 +100,13 @@ class CharacterLattice:
     """
 
     def __init__(self, exponents: Iterable[int], stabilized: bool):
-        exps = tuple(int(k) for k in exponents)
-        if not exps:
-            raise ValueError("need at least one exponent")
-        if any(k < 2 for k in exps):
-            raise ValueError("every exponent must be >= 2")
-        self.exponents = exps
-        self.stabilized = bool(stabilized)
-        self.num_vars = len(exps)
-        # Variable indices: 0 is the stabilizer (when present), 1..N the
-        # polynomial variables.
-        self.variables: tuple[int, ...] = (
-            tuple(range(0, self.num_vars + 1)) if self.stabilized
-            else tuple(range(1, self.num_vars + 1))
-        )
+        p = DiagonalPolynomial(exponents, stabilized)
+        exps, n = p.exponents, p.num_vars
+        self.exponents, self.stabilized = exps, p.stabilized
+        self.num_vars, self.variables = n, p.variables
 
         # Generator columns: chi_1, ..., chi_N, chi; one row k_i*chi_i - chi
         # per variable.
-        n = self.num_vars
         self.relation_matrix: tuple[tuple[int, ...], ...] = tuple(
             tuple(k if j == i else -1 if j == n else 0 for j in range(n + 1))
             for i, k in enumerate(exps))
@@ -128,13 +120,21 @@ class CharacterLattice:
 
         # chi = (L, 0), chi_i = (L/k_i, e_i) and chi_0 = chi - sum(chi_i) =
         # (L*q_0, (k_i - 1)_i) with q_0 = 1 - sum(1/k_i).  chi has degree 1,
-        # so its free coordinate is never 0; coset_key reads f_0 = L*q_0.
+        # so its free coordinate is never 0; chi0_free reads f_0 = L*q_0.
         self._chi = Weight(lcm, (0,) * n, exps)
         self._f0 = lcm - sum(lcm // k for k in exps)
 
     @property
     def chi(self) -> Weight:
         return self._chi
+
+    def chi0_free(self) -> int:
+        """f_0 = L - sum(L/k_i), the free coordinate of chi_0.  Raises
+        AmbiguousGradingError when it is 0 (sum of 1/k_i equal to 1)."""
+        if self._f0 == 0:
+            raise AmbiguousGradingError(
+                f"stabilizer degree is torsion for exponents {self.exponents}")
+        return self._f0
 
     def coset_key(self, free: int, residues: Iterable[int]) -> tuple[int, ...]:
         """Key of the weight (free, residues) modulo integer multiples of
@@ -144,10 +144,7 @@ class CharacterLattice:
         """
         if not self.stabilized:
             raise ValueError("coset_key requires a stabilized lattice")
-        f0 = self._f0
-        if f0 == 0:
-            raise AmbiguousGradingError(
-                f"stabilizer degree is torsion for exponents {self.exponents}")
+        f0 = self.chi0_free()
         q = free // f0
         return (free - q * f0, *((t + q) % k for t, k in zip(residues, self.exponents)))
 
@@ -165,7 +162,7 @@ class CharacterLattice:
         # Fraction per phase value, one (fixed, moving) pair per zero pattern.
         # The stabilizer phase is -sum(n_i * (L / k_i)) / L mod 1, L = lcm(k_i).
         exps = self.exponents
-        lcm = math.lcm(*exps)
+        lcm = self._chi.free
         tables = [[Fraction(n, k) for n in range(k)] for k in exps]
         scaled = [range(0, lcm, lcm // k) for k in exps]
         stabilizer_phases = {}

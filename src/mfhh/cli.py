@@ -47,22 +47,21 @@ def _echo(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
-def _is_number(part: str) -> bool:
-    """Whether ``part`` is all decimal digits once surrounding whitespace,
-    one leading sign and underscores are dropped."""
+def _digits(part: str) -> str:
+    """``part`` without surrounding whitespace, one leading sign and underscores."""
     body = part.strip()
-    return (body[1:] if body[:1] in ("+", "-") else body).replace("_", "").isdecimal()
+    return (body[1:] if body[:1] in ("+", "-") else body).replace("_", "")
 
 
 def _ints(text: str, parts, noun: str, invalid: str) -> tuple[int, ...]:
     """``int`` of each of ``parts`` of ``text``.  ValueError names Python's
-    digit limit if a numeric part exceeds it, else says ``invalid``; both
-    _echo ``text``."""
+    digit limit if a numeric part has more digits, else says ``invalid``;
+    both _echo ``text``."""
     try:
         return tuple(map(int, parts))
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and any(len(part) > limit and _is_number(part) for part in parts):
+        if limit and any(len(d) > limit and d.isdecimal() for d in map(_digits, parts)):
             raise ValueError(f"{noun} is longer than {limit} digits, the most Python"
                              f" converts: {_echo(text)}") from None
         raise ValueError(f"{invalid}: {_echo(text)}") from None
@@ -70,9 +69,7 @@ def _ints(text: str, parts, noun: str, invalid: str) -> tuple[int, ...]:
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
     exps = _ints(text, text.split(","), "an exponent", "not a comma-separated integer list")
-    if any(k < 2 for k in exps):
-        raise ValueError("every exponent must be >= 2")
-    return exps
+    return DiagonalPolynomial(exps).exponents
 
 
 def _int(text: str) -> int:

@@ -17,13 +17,16 @@ from mfhh.intlat import validated_make
 
 
 class DiagonalPolynomial(namedtuple("DiagonalPolynomial", "exponents stabilized")):
-    """sum(z_i^{k_i}) for i = 1..N, optionally stabilized by an extra
-    variable z_0 (which never appears in the polynomial itself)."""
+    """sum(z_i^{k_i}) for i = 1..N, each k_i an integer >= 2, optionally
+    stabilized by an extra variable z_0 (never in the polynomial itself)."""
 
     __slots__ = ()
 
     def __new__(cls, exponents: Iterable[int], stabilized: bool = False) -> DiagonalPolynomial:
-        exponents = tuple(int(k) for k in exponents)
+        given = tuple(exponents)
+        exponents = tuple(map(int, given))
+        if any(k != g and not isinstance(g, str) for k, g in zip(exponents, given)):
+            raise ValueError("every exponent must be an integer")  # int cuts 2.9 to 2
         if not exponents:
             raise ValueError("need at least one exponent")
         if any(k < 2 for k in exponents):

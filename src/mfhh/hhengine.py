@@ -72,17 +72,18 @@ k_i), and target = u * chi - offset with u = (k - #moving) / 2:
   c_0 = -1 (mod lcm k_P) and c_0 * f_0 in [L u_lo + S_P - A, L u_hi + S_P],
   A = sum((k_i - 2) L / k_i).
 
-A stabilized call first raises AmbiguousGradingError when f_0 = 0, then
-counts those candidates over every stratum fixing z_0.  If they are fewer
-than the prod(k_i - 1) vectors of the exponent box, each such stratum walks
-its own, in steps of lcm k_P, keeping the c_0 whose monomial is a Jacobi
-power on F.  Otherwise the call lists the exponent box once, bucketed by
-coset modulo integer multiples of chi_0 (``CharacterLattice.coset_key``),
-and each such stratum looks up the target's coset for every k in
-[k_min - 1, k_max].  A monomial in that bucket off the moving set has
-weight + c_0 * chi_0 == target, c_0 = (target.free - weight.free) / f_0,
-and gives the terms above.  Both paths accept the same terms, so the
-choice changes no count, max a_0 or witness; the walk calls no coset_key.
+A stabilized call first reads f_0 from its lattice (``chi0_free`` raises
+AmbiguousGradingError when f_0 = 0), then counts those candidates over
+every stratum fixing z_0.  If they are fewer than the prod(k_i - 1) vectors
+of the exponent box, each such stratum walks its own, in steps of lcm k_P,
+keeping the c_0 whose monomial is a Jacobi power on F.  Otherwise the call
+lists the exponent box once, bucketed by coset modulo integer multiples of
+chi_0 (``CharacterLattice.coset_key``), and each such stratum looks up the
+target's coset for every k in [k_min - 1, k_max].  A monomial in that
+bucket off the moving set has weight + c_0 * chi_0 == target, c_0 =
+(target.free - weight.free) / f_0, and gives the terms above.  Both paths
+accept the same terms, so the choice changes no count, max a_0 or witness;
+the walk calls no coset_key.
 
 A deliberately dumb oracle (`bruteforce_table`) walks every element of
 ker(chi), every Jacobi monomial on its fixed variables and a_0 over a finite
@@ -256,14 +257,14 @@ class HochschildEngine:
         """Rows for the consecutive degrees ``ks``, and the largest
         stabilizer power a_0 they accepted: each stratum's terms count with
         its multiplicity.  A stratum moving z_0 makes one lookup per degree.
-        A stabilized call raises AmbiguousGradingError when f_0 = 0, then
-        counts the c_0 candidates of its strata fixing z_0; if they are
-        fewer than the exponent box, those strata walk them, otherwise they
-        make one lookup per degree in the box (see the module docstring).
-        Strata, candidates and the box live for this call only.  Each
-        accepted term goes straight into its degree's count and the running
-        largest a_0; only a call that wants witnesses keeps a per-stratum
-        list of its terms, so a plain table holds no per-term list."""
+        A stabilized call reads f_0 from the lattice (AmbiguousGradingError
+        when it is 0), then counts the c_0 candidates of its strata fixing
+        z_0; if they are fewer than the exponent box, those strata walk
+        them, otherwise they make one lookup per degree in the box (see the
+        module docstring).  Strata, candidates and the box live for this
+        call only.  Each accepted term goes straight into its degree's count
+        and the running largest a_0; only a call that wants witnesses keeps
+        a per-stratum list of its terms, so a plain table holds none."""
         lat = self.lattice
         strata = lat.moving_set_counts()
         pairs = len(strata) * len(ks)
@@ -283,7 +284,7 @@ class HochschildEngine:
         walks = {}
         by_coset = {}
         if stabilized:
-            _scaled_stabilizer_degree(exps)  # AmbiguousGradingError when f_0 = 0
+            lat.chi0_free()  # AmbiguousGradingError when f_0 = 0
             slack = sum((k - 2) * step for k, step in zip(exps, steps))  # A
             for moving in strata:
                 if 0 in moving:

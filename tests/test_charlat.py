@@ -326,6 +326,19 @@ def test_stabilizer_free_coordinate_tracks_reciprocal_sum():
         assert coset_key(lat, lat.chi.scaled(0)) == (0, *(0 for _ in exps))
 
 
+@pytest.mark.parametrize("stabilized", [False, True])
+def test_chi0_free_is_f0_or_ambiguous(stabilized):
+    """chi0_free reads f_0 = L - sum(L/k_i), chi_0's free coordinate, in
+    either variant, and raises AmbiguousGrading when it is 0."""
+    for exps in [exps for exps, _ in LATTICE_CASES] + [(2, 3, 7, 43)]:
+        lat = build_character_lattice(exps, stabilized)
+        lcm = math.lcm(*exps)
+        assert lat.chi0_free() == lcm - sum(lcm // k for k in exps) == chi_0(lat).free
+    for exps in [(2, 3, 6), (3, 3, 3), (2, 4, 4)]:
+        with pytest.raises(AmbiguousGradingError, match="stabilizer degree is torsion"):
+            build_character_lattice(exps, stabilized).chi0_free()
+
+
 COORDINATE_MULTISETS = [
     exps
     for n in range(1, 6)
@@ -446,7 +459,10 @@ def test_z0_fixed_elements_for_distinct_primes():
 
 
 def test_invalid_exponents_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one exponent"):
         build_character_lattice((), True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every exponent must be >= 2"):
         build_character_lattice((1, 2), False)
+    # Refused, not cut to the lattice of (2, 3).
+    with pytest.raises(ValueError, match="every exponent must be an integer"):
+        build_character_lattice([2.7, 3.2], True)

@@ -1,4 +1,6 @@
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -74,9 +76,15 @@ def test_milnor_equals_full_jacobi_dimension():
 
 
 def test_polynomial_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one exponent"):
         DiagonalPolynomial(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every exponent must be >= 2"):
         DiagonalPolynomial((2, 1))
     with pytest.raises(ValueError):
         DiagonalPolynomial((2, 2)).exponent_of(3)
+
+
+@pytest.mark.parametrize("exps", [(2, 2.9), (2, Fraction(5, 2)), (2, Decimal("2.5"))])
+def test_inexact_exponents_are_refused_not_cut(exps):
+    with pytest.raises(ValueError, match="every exponent must be an integer"):
+        DiagonalPolynomial(exps)

@@ -249,6 +249,25 @@ def test_a_priori_bounds_dominate_engine_max_a0(exps):
     assert HochschildEngine(DiagonalPolynomial(exps, True)).table(-10, 10).max_a0 <= a0_bound
 
 
+def test_engine_refuses_inexact_exponents():
+    """(2, 3.99, 7.5) is not (2, 3, 7): the one exponent check refuses it
+    before an engine is built, rather than answering for (2, 3, 7)."""
+    with pytest.raises(ValueError):
+        HochschildEngine(DiagonalPolynomial((2, 3.99, 7.5), True))
+
+
+def test_engine_reads_f0_from_its_lattice(monkeypatch):
+    """A stabilized table asks its lattice for f_0, and an AmbiguousGrading
+    comes from there; an unstabilized one never asks."""
+    def refuse(self):
+        raise AmbiguousGradingError("from the lattice")
+
+    monkeypatch.setattr(CharacterLattice, "chi0_free", refuse)
+    with pytest.raises(AmbiguousGradingError, match="from the lattice"):
+        HochschildEngine(DiagonalPolynomial((2, 2, 3, 5), True)).table(0, 3)
+    assert HochschildEngine(DiagonalPolynomial((2, 2, 3, 5))).table(0, 3).dimensions
+
+
 def test_a_priori_bounds_unstabilized_and_ambiguous():
     assert oracle_bounds((3, 4, 5), False, -4, 4) == (0, 4)
     with pytest.raises(AmbiguousGradingError):

@@ -2,6 +2,8 @@
 by value, with the validating ones checking every construction."""
 
 import inspect
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +82,7 @@ def test_diagonal_polynomial_checks_and_normalizes_exponents():
         DiagonalPolynomial(())
     p = DiagonalPolynomial(k for k in ("2", 3.0, 5))
     assert p.exponents == (2, 3, 5) and all(type(k) is int for k in p.exponents)
+    assert DiagonalPolynomial((Fraction(4, 2), Decimal("3"))).exponents == (2, 3)
     assert p.stabilized is False
     with pytest.raises(ValueError):
         p._replace(exponents=(1,))
