@@ -47,23 +47,16 @@ def _echo(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
-def _digits(part: str) -> str:
-    """``part`` without surrounding whitespace, one leading sign and underscores."""
-    body = part.strip()
-    return (body[1:] if body[:1] in ("+", "-") else body).replace("_", "")
-
-
 def _ints(text: str, parts, noun: str, invalid: str) -> tuple[int, ...]:
     """``int`` of each of ``parts`` of ``text``.  ValueError names Python's
-    digit limit if a numeric part has more digits, else says ``invalid``;
-    both _echo ``text``."""
+    digit limit if ``int`` refused the first bad part for its length, else
+    says ``invalid``; both _echo ``text``."""
     try:
         return tuple(map(int, parts))
-    except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and any(len(d) > limit and d.isdecimal() for d in map(_digits, parts)):
-            raise ValueError(f"{noun} is longer than {limit} digits, the most Python"
-                             f" converts: {_echo(text)}") from None
+    except ValueError as error:
+        if str(error).startswith("Exceeds the limit"):
+            raise ValueError(f"{noun} is longer than {sys.get_int_max_str_digits()} digits,"
+                             f" the most Python converts: {_echo(text)}") from None
         raise ValueError(f"{invalid}: {_echo(text)}") from None
 
 

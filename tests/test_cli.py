@@ -291,23 +291,6 @@ def test_default_degree_range():
     assert ks == list(range(-6, 7))
 
 
-def test_parallel_outputs_are_byte_identical():
-    argv = ("hh", "--exponents", "2,2,3,5", "--stabilize", "--k-min", "-6",
-            "--k-max", "6", "--witnesses", "--format", "json")
-    code1, out1 = invoke(*argv, "--parallel", "1")
-    code4, out4 = invoke(*argv, "--parallel", "4")
-    assert code1 == code4 == 0
-    assert out1 == out4
-
-
-def test_verify_exit_codes():
-    for exps in ("2,2,3,5", "2,2,4,5", "2,2,3,3", "2,2,2"):
-        assert invoke("verify", "--exponents", exps, "--stabilize")[0] == 0, exps
-    assert invoke("verify", "--exponents", "2,3,5", "--stabilize")[0] == 3
-    assert invoke("verify", "--exponents", "2,2", "--stabilize")[0] == 3
-    assert invoke("verify", "--exponents", "2,2,3,5")[0] == 3
-
-
 def test_verify_json_payload():
     code, out = invoke("verify", "--exponents", "2,2,4,5", "--stabilize",
                        "--format", "json")
@@ -443,18 +426,22 @@ def test_command_line_grammar(argv, code, report, error, capsys):
         ("milnor", "--exponents"), ("hh", "--k-min"), ("hh", "--k-max"), ("hh", "--parallel"),
         ("oracle", "--a0-bound"), ("oracle", "--u-bound"))])
 def test_over_long_exponent_names_the_digit_limit(command, option, capsys):
-    """An integer argument past Python's int-string limit is a usage error
-    that says so, and the message echoes only the start of the argument."""
+    """An integer argument past Python's int-string limit, with or without
+    underscores between its digits, is a usage error that says so: the
+    usage line and one short error line, which echoes only the start of
+    the argument."""
     limit = sys.get_int_max_str_digits()
-    value = "1" + "0" * (limit + 100)
-    argv = ((command, option, value + ",3") if option == "--exponents"
-            else (command, "--exponents", "2,3", option, value))
-    assert invoke(*argv) == (1, "")
-    err = capsys.readouterr().err.splitlines()[-1]
     noun = "an exponent" if option == "--exponents" else "the value"
-    assert err.startswith(f"mfhh: error: argument {option}: {noun} is longer than"
-                          f" {limit} digits")
-    assert len(err) < 200
+    for value in ("1" + "0" * (limit + 100), "1_" * (limit + 99) + "1"):
+        argv = ((command, option, value + ",3") if option == "--exponents"
+                else (command, "--exponents", "2,3", option, value))
+        assert invoke(*argv) == (1, "")
+        err = capsys.readouterr().err
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: mfhh {command} ")
+        assert error.startswith(f"mfhh: error: argument {option}: {noun} is longer than"
+                                f" {limit} digits")
+        assert len(err) < 400
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -465,14 +452,16 @@ def test_over_long_exponent_names_the_digit_limit(command, option, capsys):
     (("milnor", "--exponents", "x" * 5000 + ",3"),
      "argument --exponents: not a comma-separated integer list: " + repr("x" * 40)
      + "... (5002 characters)"),
-    # 2300 digits, refused by int for the trailing underscore: long, but within the limit.
+    # Refused by int for the trailing underscore, not for its 2300 or 4400 digits.
     (("hh", "--exponents", "2,3", "--k-min", "1_" * 2300),
      "argument --k-min: invalid int value: " + repr("1_" * 20) + "... (4600 characters)"),
-], ids=["--k-min", "--exponents", "--k-min underscores"])
+    (("hh", "--exponents", "2,3", "--k-min", "1_" * 4400),
+     "argument --k-min: invalid int value: " + repr("1_" * 20) + "... (8800 characters)"),
+], ids=["--k-min", "--exponents", "--k-min underscores", "--k-min underscores past the limit"])
 def test_over_long_non_number_is_not_called_too_long(argv, error, capsys):
-    """Only a part made of digits (after whitespace, one sign and
-    underscores) with more digits than the limit is reported against it;
-    any other keeps its converter's message, echoed cut."""
+    """The digit limit is named only when ``int`` refuses the first bad part
+    for its length; a part it refuses as a bad literal, however long, keeps
+    its converter's message, echoed cut."""
     assert invoke(*argv) == (1, "")
     assert capsys.readouterr().err.splitlines()[-1] == f"mfhh: error: {error}"
 

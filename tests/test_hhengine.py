@@ -170,11 +170,21 @@ def test_range_223_with_oracle_middle_degree():
 
 # -- oracle ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("exps", [(2, 2, 3), (2, 2, 3, 5)])
-def test_oracle_equivalence(exps):
-    engine = HochschildEngine(DiagonalPolynomial(exps, True))
-    report = engine.table(-10, 10)
-    counts, _ = engine.bruteforce_table(*oracle_bounds(exps, True, -10, 10))
+@pytest.mark.parametrize("exps, stabilized, k_min, k_max", [
+    # Not among criterion 4's instances; its z_0-fixing strata walk c_0.
+    ((2, 2, 3, 5, 7, 11), True, -10, 10),
+    # One-degree windows whose terms are all odd twins of the degree below:
+    # twelve at k = 5, and one at k = -1 on the paper family, where q_0 < 0.
+    ((2, 3, 7), True, 5, 5),
+    ((2, 2, 3, 5), True, -1, -1),
+    # Unstabilized: the oracle's c_0 = 0 branch.
+    ((3, 4, 5, 6, 7), False, -10, 10),
+], ids=["2,2,3,5,7,11 stabilized", "2,3,7 stabilized k=5", "2,2,3,5 stabilized k=-1",
+        "3,4,5,6,7"])
+def test_oracle_equivalence(exps, stabilized, k_min, k_max):
+    engine = HochschildEngine(DiagonalPolynomial(exps, stabilized))
+    report = engine.table(k_min, k_max)
+    counts, _ = engine.bruteforce_table(*oracle_bounds(exps, stabilized, k_min, k_max))
     for row in report.dimensions:
         assert counts.get(row.degree, 0) == row.dim
 
