@@ -363,7 +363,7 @@ def cmd_group(args, out) -> int:
             "stabilized": args.stabilize,
             "free_rank": 1,
             "torsion": list(lat.torsion_mods),
-            "kerchi_order": len(engine.kernel),
+            "kerchi_order": engine.kerchi_order,
             "elements": [_phase_strings(g) for g in engine.kernel],
         }
         print(canonical_json(payload), file=out)
@@ -371,7 +371,7 @@ def cmd_group(args, out) -> int:
         print(_header_line(args.exponents, args.stabilize), file=out)
         torsion = " + ".join(f"Z/{d}" for d in lat.torsion_mods)
         print(f"lattice   : Z{' + ' + torsion if torsion else ''}", file=out)
-        print(f"|ker chi| : {len(engine.kernel)}", file=out)
+        print(f"|ker chi| : {engine.kerchi_order}", file=out)
         print("elements (phases, z0 first when stabilized):", file=out)
         for i, gamma in enumerate(engine.kernel):
             print(f"  {i:>6}  ({','.join(_phase_strings(gamma))})", file=out)

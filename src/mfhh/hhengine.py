@@ -263,8 +263,8 @@ class HochschildEngine:
         them, otherwise they make one lookup per degree in the box (see the
         module docstring).  Strata, candidates and the box live for this
         call only.  Each accepted term goes straight into its degree's count
-        and the running largest a_0; only a call that wants witnesses keeps
-        a per-stratum list of its terms, so a plain table holds none."""
+        and the running largest a_0; only a witness call keeps per-stratum
+        term lists and witness rows, so a plain table holds none."""
         lat = self.lattice
         strata = lat.moving_set_counts()
         pairs = len(strata) * len(ks)
@@ -276,7 +276,7 @@ class HochschildEngine:
         stabilized = self.polynomial.stabilized
         exps = self.polynomial.exponents
         steps = [chi.free // k for k in exps]
-        f0 = chi.free - sum(steps)  # the free coordinate of chi_0
+        f0 = lat.chi0_free() if stabilized else 0  # AmbiguousGradingError when f_0 = 0
         k_min, k_max = ks[0], ks[-1]
         # Only strata fixing z_0 walk c_0 or search the box, so only a
         # stabilized call lists either.  Each such stratum's c_0 candidates,
@@ -284,7 +284,6 @@ class HochschildEngine:
         walks = {}
         by_coset = {}
         if stabilized:
-            lat.chi0_free()  # AmbiguousGradingError when f_0 = 0
             slack = sum((k - 2) * step for k, step in zip(exps, steps))  # A
             for moving in strata:
                 if 0 in moving:
@@ -364,19 +363,18 @@ class HochschildEngine:
                             max_a0 = max(max_a0, c0 + 1)
                             if want_witnesses:
                                 terms.append((k + 1, ODD, (c0 + 1, *a), u))
+        if not want_witnesses:
+            return [DegreeDimension(k, counts[k], None) for k in ks], max_a0
+        total = sum(counts.values())
+        if total > WITNESS_BUDGET:
+            raise BudgetExceededError(
+                f"degrees {ks[0]}..{ks[-1]} have {total} witnesses, more than the"
+                f" witness budget {WITNESS_BUDGET}")
         wits = {k: [] for k in ks}
-        if want_witnesses:
-            total = sum(counts.values())
-            if total > WITNESS_BUDGET:
-                raise BudgetExceededError(
-                    f"degrees {ks[0]}..{ks[-1]} have {total} witnesses, more than the"
-                    f" witness budget {WITNESS_BUDGET}")
-            for gi, gamma in enumerate(self.kernel):
-                for k, summand, vector, u in accepted[gamma.moving]:
-                    wits[k].append(HHContribution(gi, summand, vector, u, k, gamma))
-        rows = [DegreeDimension(k, counts[k], tuple(sorted(wits[k])) if want_witnesses else None)
-                for k in ks]
-        return rows, max_a0
+        for gi, gamma in enumerate(self.kernel):
+            for k, summand, vector, u in accepted[gamma.moving]:
+                wits[k].append(HHContribution(gi, summand, vector, u, k, gamma))
+        return [DegreeDimension(k, counts[k], tuple(sorted(wits[k]))) for k in ks], max_a0
 
     def dimension(self, k: int, witnesses: bool = False) -> DegreeDimension:
         return self._count([k], witnesses)[0][0]

@@ -109,6 +109,9 @@ def test_criterion_5_floor_counts(engines):
     assert all(w.exponents[0] % 2 == 0 for w in even_a0)
     assert len(odd_a0) == (k3 - 1) // 2
     assert all(w.exponents[0] % 2 == 1 for w in odd_a0)
+    # the unit monomial on the full space; z_0 z_3 z_4 at u = -1 on the locus
+    assert [w.exponents for w in even_a0] == [(0, 0, 0, 0, 0)]
+    assert [(w.exponents, w.u) for w in odd_a0] == [((1, 0, 0, 1, 1), -1)]
 
 
 @criterion(6, "three-variable consistency")

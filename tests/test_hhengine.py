@@ -20,60 +20,7 @@ def engine2235():
     return HochschildEngine(DiagonalPolynomial((2, 2, 3, 5), True))
 
 
-# -- worked dimension values ---------------------------------------------------
-
-def test_dimension_2235_degree_zero(engine2235):
-    assert engine2235.dimension(0).dim == 2
-
-
-def test_dimension_2235_degree_n(engine2235):
-    assert engine2235.dimension(3).dim == 8 == milnor_number(engine2235.polynomial)
-
-
-def test_dimension_223():
-    engine = HochschildEngine(DiagonalPolynomial((2, 2, 3), True))
-    assert engine.dimension(0).dim == 2
-    assert engine.dimension(2).dim == 2
-
-
-def test_dimension_22357_degree_n():
-    assert HochschildEngine(DiagonalPolynomial((2, 2, 3, 5, 7), True)).dimension(4).dim == 48
-
-
 # -- witnesses -----------------------------------------------------------------
-
-def test_witnesses_top_degree(engine2235):
-    row = engine2235.dimension(3, witnesses=True)
-    assert row.dim == len(row.witnesses) == 8
-    for w in row.witnesses:
-        gamma = engine2235.kernel[w.gamma_index]
-        assert gamma.fixed == frozenset()
-        assert w.summand == "even"
-        assert w.u == -1
-        assert not any(w.exponents)  # unit monomial
-
-
-def test_witnesses_degree_zero_split(engine2235):
-    # the two degree-zero generators: one even-a0 monomial on the full space,
-    # one odd-a0 monomial on the locus fixed by the double sign flip,
-    # matching the counts floor((k3-2)/2)+1 and floor((k3-1)/2) for k3 = 3
-    k3 = 3
-    row = engine2235.dimension(0, witnesses=True)
-    assert row.dim == len(row.witnesses) == 2
-    by_fixed = {}
-    for w in row.witnesses:
-        gamma = engine2235.kernel[w.gamma_index]
-        by_fixed[gamma.fixed] = w
-    full = frozenset(engine2235.lattice.variables)
-    flip = frozenset({0, 3, 4})
-    assert set(by_fixed) == {full, flip}
-    w_full, w_flip = by_fixed[full], by_fixed[flip]
-    assert w_full.exponents == (0, 0, 0, 0, 0) and w_full.exponents[0] % 2 == 0
-    assert w_flip.exponents == (1, 0, 0, 1, 1) and w_flip.exponents[0] % 2 == 1
-    assert w_flip.u == -1
-    assert sum(1 for w in row.witnesses if w.exponents[0] % 2 == 0) == (k3 - 2) // 2 + 1
-    assert sum(1 for w in row.witnesses if w.exponents[0] % 2 == 1) == (k3 - 1) // 2
-
 
 def test_witness_count_always_matches_dimension(engine2235):
     for k in range(-6, 7):
@@ -266,16 +213,34 @@ def test_engine_refuses_inexact_exponents():
         HochschildEngine(DiagonalPolynomial((2, 3.99, 7.5), True))
 
 
+class _Unusable:
+    """Stands in for f_0; any arithmetic or comparison with it fails."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the lattice's f_0 was used")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __abs__ = __neg__ = __index__ = _refuse
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _refuse
+
+
 def test_engine_reads_f0_from_its_lattice(monkeypatch):
-    """A stabilized table asks its lattice for f_0, and an AmbiguousGrading
-    comes from there; an unstabilized one never asks."""
+    """A stabilized table asks its lattice for f_0, an AmbiguousGrading
+    comes from there, and the table counts with the value the lattice
+    returns (on the c_0 walk of 2,2,5,7,11,13); an unstabilized one never
+    asks."""
     def refuse(self):
         raise AmbiguousGradingError("from the lattice")
 
-    monkeypatch.setattr(CharacterLattice, "chi0_free", refuse)
-    with pytest.raises(AmbiguousGradingError, match="from the lattice"):
-        HochschildEngine(DiagonalPolynomial((2, 2, 3, 5), True)).table(0, 3)
-    assert HochschildEngine(DiagonalPolynomial((2, 2, 3, 5))).table(0, 3).dimensions
+    with monkeypatch.context() as m:
+        m.setattr(CharacterLattice, "chi0_free", refuse)
+        with pytest.raises(AmbiguousGradingError, match="from the lattice"):
+            HochschildEngine(DiagonalPolynomial((2, 2, 3, 5), True)).table(0, 3)
+        assert HochschildEngine(DiagonalPolynomial((2, 2, 3, 5))).table(0, 3).dimensions
+
+    monkeypatch.setattr(CharacterLattice, "chi0_free", lambda self: _Unusable())
+    with pytest.raises(AssertionError, match="the lattice's f_0 was used"):
+        HochschildEngine(DiagonalPolynomial((2, 2, 5, 7, 11, 13), True)).table(-10, 10)
 
 
 def test_a_priori_bounds_unstabilized_and_ambiguous():

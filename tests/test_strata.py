@@ -8,7 +8,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import ceil, floor, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -196,6 +196,31 @@ def test_moving_set_counts_need_no_enumeration(monkeypatch):
     counts = build_character_lattice(exps, True).moving_set_counts()
     assert sum(counts.values()) == prod(exps)
     assert counts[frozenset()] == 1
+
+
+@pytest.mark.parametrize("exps, sets", [((2, 2, 3, 5, 7, 11, 13), 128), ((2, 2, 101, 103, 107, 109), 44)],
+                         ids=["2,2,3,5,7,11,13", "2,2,101,103,107,109"])
+def test_moving_set_counts_match_numerator_tuples(exps, sets):
+    """The elements moving exactly the polynomial variables P are the
+    numerator tuples n_j in [1, k_j - 1] on P, and z_0 stays fixed iff
+    sum(n_j / k_j) is an integer.  Those tuples, counted one by one for every
+    P with prod(k_j - 1, j in P) <= 10^5, are moving_set_counts' entries for
+    P and for P with z_0."""
+    big = lcm(*exps)
+    counts = build_character_lattice(exps, True).moving_set_counts()
+    checked = 0
+    for size in range(len(exps) + 1):
+        for p in itertools.combinations(range(1, len(exps) + 1), size):
+            if prod(exps[j - 1] - 1 for j in p) > 10**5:
+                continue
+            # n_j * L / k_j for n_j in [1, k_j - 1]: the phase sum is integral iff L divides theirs.
+            phases = [range(big // exps[j - 1], big, big // exps[j - 1]) for j in p]
+            integral = Counter(sum(t) % big == 0 for t in itertools.product(*phases))
+            moving = frozenset(p)
+            assert counts.get(moving, 0) == integral[True], (exps, p)
+            assert counts.get(moving | {0}, 0) == integral[False], (exps, p)
+            checked += 1
+    assert checked == sets
 
 
 # Products up to 400 keep the oracle's element walk to tens of milliseconds per example.
